@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import ocbgame, pmfile, reduction
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, DimensionMismatchError
 from .process import validate
 
 EXIT_PASS = 0
@@ -28,13 +28,8 @@ def _matrix_entries(m: np.ndarray) -> list:
 
 def _report(command: str, inputs: dict, tolerances: dict, results: dict,
             status: str) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "tolerances": tolerances,
-        "results": results,
-        "status": status,
-    }
+    return dict(command=command, inputs=inputs, tolerances=tolerances,
+                results=results, status=status)
 
 
 def _emit(report: dict, pretty: bool) -> None:
@@ -48,16 +43,13 @@ def _emit(report: dict, pretty: bool) -> None:
 
 
 def _violation_rows(violations) -> list:
-    rows = []
-    for v in violations:
-        rows.append({
-            "description": v.description,
-            "lhs_value": v.lhs_value,
-            "expected": v.expected,
-            "coefficient": v.coefficient_label,
-            "coefficient_value": v.coefficient_value,
-        })
-    return rows
+    return [{
+        "description": v.description,
+        "lhs_value": v.lhs_value,
+        "expected": v.expected,
+        "coefficient": v.coefficient_label,
+        "coefficient_value": v.coefficient_value,
+    } for v in violations]
 
 
 def _cmd_validate(args) -> int:
@@ -65,7 +57,8 @@ def _cmd_validate(args) -> int:
     report = validate(w, tol=args.tol)
     results = {
         "psd_ok": report.psd_ok,
-        "min_eigenvalue": report.min_eigenvalue,
+        # -inf (no spectrum: W is not Hermitian) has no JSON token; write null.
+        "min_eigenvalue": report.min_eigenvalue if np.isfinite(report.min_eigenvalue) else None,
         "trace_ok": report.trace_ok,
         "trace_value": report.trace_value,
         "normalization_ok": report.normalization_ok,
@@ -220,7 +213,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (pmfile.PMFileError, FileNotFoundError) as exc:
+    except (pmfile.PMFileError, FileNotFoundError, DimensionMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

@@ -8,6 +8,7 @@ left tensor factor is most significant, matching ``numpy.kron``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,6 +33,13 @@ _PAULI_EIGVECS = {
     ("z", 0): np.array([1, 0], dtype=complex),
     ("z", 1): np.array([0, 1], dtype=complex),
 }
+
+
+# The Pauli operators 1, x, y, z and their six eigenprojectors
+# x0, x1, y0, y1, z0, z1, stacked for ``product_expectations``.
+PAULI_STACK = np.stack([_PAULI[p] for p in PAULI_INDICES])
+EIGENPROJECTOR_STACK = np.stack([np.outer(v, v.conj()) for v in _PAULI_EIGVECS.values()])
+PAULI_STACK.flags.writeable = EIGENPROJECTOR_STACK.flags.writeable = False
 
 
 class DimensionMismatchError(ValueError):
@@ -68,6 +76,26 @@ def kron_all(factors) -> np.ndarray:
     for f in factors:
         out = np.kron(out, np.asarray(f, dtype=complex))
     return out
+
+
+def product_expectations(matrix: np.ndarray, stacks) -> np.ndarray:
+    """Tr[W (S_1[a_1] (x) ... (x) S_n[a_n])] for every index tuple (a_1..a_n).
+
+    ``stacks[k]`` has shape (m_k, d_k, d_k) and acts on tensor factor k of W
+    (left factor first); the result has shape (m_1, ..., m_n). W is
+    contracted one factor at a time, so no product operator is ever built.
+    """
+    dims = [s.shape[-1] for s in stacks]
+    total = int(np.prod(dims))
+    m = np.asarray(matrix, dtype=complex)
+    if m.shape != (total, total):
+        raise DimensionMismatchError(f"matrix shape {m.shape} does not match factor dims {dims}")
+    t = m.reshape(dims + dims)
+    for k, s in enumerate(stacks):
+        # Axis 0 is factor k's row, axis n - k its column; the new index
+        # goes last, so the finished tensor is ordered (a_1, ..., a_n).
+        t = np.tensordot(t, s, axes=([0, len(dims) - k], [2, 1]))
+    return t
 
 
 def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
@@ -132,7 +160,7 @@ def projector(v: np.ndarray) -> np.ndarray:
 
 def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     m = np.asarray(m)
-    return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= tol
+    return m.shape[0] == m.shape[1] and bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
 def min_eigenvalue(m: np.ndarray, tol: float = DEFAULT_TOL) -> float:
@@ -157,12 +185,16 @@ def frobenius_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
 
-def hermitian_basis(d: int) -> list:
-    """Orthonormal (Frobenius) Hermitian basis of d x d matrices.
+@lru_cache(maxsize=None)
+def hermitian_basis(d: int) -> np.ndarray:
+    """Orthonormal (Frobenius) Hermitian basis of d x d matrices, as a
+    read-only (d^2, d, d) stack built once per d.
 
     Identity-direction element first, then the traceless ones.
     """
-    return [np.eye(d, dtype=complex) / np.sqrt(d)] + traceless_hermitian_basis(d)
+    basis = np.stack([np.eye(d, dtype=complex) / np.sqrt(d)] + traceless_hermitian_basis(d))
+    basis.flags.writeable = False
+    return basis
 
 
 def traceless_hermitian_basis(d: int) -> list:

@@ -13,6 +13,7 @@ matrix W_OCB together with the measure-and-prepare strategies below reaches
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -189,12 +190,14 @@ def _max_b_before_a_factored(n_msg: int) -> Fraction:
     return Fraction(best_w1 + best_w2, 8)
 
 
+@functools.cache
 def causal_bound_details() -> CausalBoundReport:
     """Exhaustive enumeration of deterministic causal strategies.
 
     One-bit forward message in both orders, plus a two-bit rerun for
     B-before-A (where the first party holds two input bits); deterministic
-    maxima bound all mixed strategies by convexity.
+    maxima bound all mixed strategies by convexity. The bound is a constant,
+    so the enumeration runs once per process and every call shares the report.
     """
     best_ab = Fraction(0)
     best_ab_strategy = None

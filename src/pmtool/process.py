@@ -12,12 +12,18 @@ operators form the affine set {M >= 0, Tr_out M = I}, so by linearity it
 suffices to check one reference CPTP CJ per party plus a basis of Hermitian
 directions that are traceless on the output factor. This finite test set is
 an implementation-level derivation from the probability rule, not something
-stated per party count in the source framework.
+stated per party count in the source framework. ``validate`` evaluates the
+set without building it: W is contracted with a product Hermitian basis one
+tensor factor at a time (``normalization_values``); the materialised
+``normalization_constraints`` is kept as the readable reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+import math
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +37,7 @@ from .linalg import (
     kron_all,
     min_eigenvalue,
     partial_trace,
+    product_expectations,
     traceless_hermitian_basis,
 )
 
@@ -52,25 +59,16 @@ class PartySpec:
 
     @property
     def total_dim(self) -> int:
-        out = 1
-        for p in self.parties:
-            out *= p.total
-        return out
+        return math.prod(p.total for p in self.parties)
 
     @property
     def d_out_product(self) -> int:
-        out = 1
-        for p in self.parties:
-            out *= p.d_out
-        return out
+        return math.prod(p.d_out for p in self.parties)
 
     @property
     def factor_dims(self) -> list:
         """Flat factor dimensions [in_1, out_1, in_2, out_2, ...]."""
-        dims = []
-        for p in self.parties:
-            dims.extend([p.d_in, p.d_out])
-        return dims
+        return [d for p in self.parties for d in (p.d_in, p.d_out)]
 
 
 @dataclass(frozen=True)
@@ -122,18 +120,11 @@ def probability(w: ProcessMatrix, branch_cjs) -> float:
             raise DimensionMismatchError(
                 f"CJ dims {cj.dims} do not match party dims {party}"
             )
-    m = kron_all(cj.matrix for cj in branch_cjs)
-    tr = complex(np.trace(w.matrix @ m))
+    stacks = [cj.matrix[np.newaxis] for cj in branch_cjs]  # one factor per party
+    tr = complex(product_expectations(w.matrix, stacks).reshape(()))
     if abs(tr.imag) > 1e-10:
         raise ValueError(f"probability trace has imaginary part {tr.imag:.3e}")
     return tr.real
-
-
-def clamp_probability(p: float, tol: float = DEFAULT_TOL) -> float:
-    """Display-only clamp to [0, 1]; raw values stay diagnostic."""
-    if -tol <= p <= 1 + tol:
-        return min(max(p, 0.0), 1.0)
-    return p
 
 
 def reference_cptp_cj(dims: DimensionPair) -> CJOperator:
@@ -149,45 +140,67 @@ def reference_cptp_cj(dims: DimensionPair) -> CJOperator:
     return cj_of_kraus(KrausFamily(dims, tuple(ops)))
 
 
-def output_traceless_directions(dims: DimensionPair) -> list:
-    """Hermitian basis of the directions tangent to the CPTP CJ set.
-
-    These are h_in (x) g_out with g_out traceless, so Tr_out of each
-    direction vanishes; there are d_in^2 (d_out^2 - 1) of them, all unit
-    Frobenius norm.
-    """
-    return [
-        np.kron(h, g)
-        for h in hermitian_basis(dims.d_in)
-        for g in traceless_hermitian_basis(dims.d_out)
-    ]
-
-
 def normalization_constraints(spec: PartySpec) -> list:
     """Finite constraint set equivalent to normalization over all CPTP
-    instruments.
+    instruments, materialised (the reference form of ``normalization_values``).
 
     Returns (label, matrix, expected) triples: expected 1 when every party
     takes its reference CPTP CJ, 0 as soon as any party takes a traceless
-    direction.
+    direction h_in (x) g_out (g_out traceless, so Tr_out of it vanishes).
     """
     per_party = []
     for i, dims in enumerate(spec.parties):
-        choices = [(f"P{i}:ref", reference_cptp_cj(dims).matrix, True)]
-        for k, direction in enumerate(output_traceless_directions(dims)):
-            choices.append((f"P{i}:dir{k}", direction, False))
-        per_party.append(choices)
+        directions = (
+            np.kron(h, g)
+            for h in hermitian_basis(dims.d_in)
+            for g in traceless_hermitian_basis(dims.d_out)
+        )
+        per_party.append([(f"P{i}:ref", reference_cptp_cj(dims).matrix, 1.0)] + [
+            (f"P{i}:dir{k}", direction, 0.0) for k, direction in enumerate(directions)
+        ])
+    return [
+        ("|".join(c[0] for c in combo), kron_all(c[1] for c in combo),
+         float(all(c[2] for c in combo)))
+        for combo in itertools.product(*per_party)
+    ]
 
-    constraints = []
-    combos = [[]]
-    for choices in per_party:
-        combos = [c + [ch] for c in combos for ch in choices]
-    for combo in combos:
-        label = "|".join(name for name, _, _ in combo)
-        matrix = kron_all(mat for _, mat, _ in combo)
-        expected = 1.0 if all(is_ref for _, _, is_ref in combo) else 0.0
-        constraints.append((label, matrix, expected))
-    return constraints
+
+@lru_cache(maxsize=None)
+def _reference_coefficients(dims: DimensionPair) -> np.ndarray:
+    """The reference CJ's real coefficients over the orthonormal product
+    basis hermitian_basis(d_in) (x) hermitian_basis(d_out); read-only."""
+    stacks = [hermitian_basis(dims.d_in), hermitian_basis(dims.d_out)]
+    coefficients = product_expectations(reference_cptp_cj(dims).matrix, stacks).real
+    coefficients.flags.writeable = False
+    return coefficients
+
+
+def normalization_values(w: ProcessMatrix):
+    """(Tr[W C], expected) for every constraint C of
+    ``normalization_constraints``, as flat arrays in the same order.
+
+    W is contracted with hermitian_basis on every input and output factor.
+    Since that basis starts with the identity direction, a party's
+    traceless-output directions are a slice of its two axes, and its
+    reference CJ is one tensordot with ``_reference_coefficients``.
+    """
+    t = product_expectations(w.matrix, [hermitian_basis(d) for d in w.spec.factor_dims])
+    for dims in w.spec.parties:
+        ref = np.tensordot(t, _reference_coefficients(dims), axes=([0, 1], [0, 1]))
+        directions = np.moveaxis(t[:, 1:], (0, 1), (-2, -1)).reshape(ref.shape + (-1,))
+        t = np.concatenate([ref[..., None], directions], axis=-1)
+    expected = np.zeros(t.size)
+    expected[0] = 1.0
+    return t.reshape(-1), expected
+
+
+def constraint_label(spec: PartySpec, index: int) -> str:
+    """Label of constraint ``index`` in ``normalization_constraints(spec)``."""
+    shape = [1 + p.d_in**2 * (p.d_out**2 - 1) for p in spec.parties]
+    return "|".join(
+        f"P{i}:dir{k - 1}" if k else f"P{i}:ref"
+        for i, k in enumerate(np.unravel_index(index, shape))
+    )
 
 
 def validate(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityReport:
@@ -207,13 +220,11 @@ def validate(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityReport:
     if not trace_ok:
         violated.append(("trace", abs(trace_value - w.spec.d_out_product)))
 
-    worst = 0.0
-    for label, matrix, expected in normalization_constraints(w.spec):
-        value = complex(np.trace(w.matrix @ matrix))
-        residual = abs(value - expected)
-        worst = max(worst, residual)
-        if residual > tol:
-            violated.append((label, residual))
+    values, expected = normalization_values(w)
+    residuals = np.abs(values - expected)
+    worst = float(residuals.max())
+    for index in np.flatnonzero(residuals > tol):
+        violated.append((constraint_label(w.spec, index), float(residuals[index])))
     normalization_ok = worst <= tol
 
     return ValidityReport(

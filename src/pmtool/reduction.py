@@ -25,19 +25,21 @@ import numpy as np
 from .channels import KrausFamily, cj_of_kraus
 from .linalg import (
     DEFAULT_TOL,
+    EIGENPROJECTOR_STACK,
+    PAULI_STACK,
     DimensionMismatchError,
     frobenius_norm,
+    is_hermitian,
     is_psd,
-    kron,
-    min_eigenvalue,
     kron_all,
-    pauli,
-    pauli_eigenvector,
+    min_eigenvalue,
     pauli_word,
+    product_expectations,
 )
 from .process import (
     ProcessMatrix,
-    normalization_constraints,
+    constraint_label,
+    normalization_values,
     partial_trace_over_outputs,
     probability,
 )
@@ -107,27 +109,35 @@ def pauli_coefficient(matrix: np.ndarray, word) -> float:
 
 
 def pauli_decompose(w: ProcessMatrix) -> PauliDecomposition:
-    """Full Pauli decomposition of a single-party n-qubit-in/out W."""
+    """Full Pauli decomposition of a single-party n-qubit-in/out W, by the
+    tensorised transform: the Pauli stack contracted on each of 2n qubits."""
     n = _qubit_count(w)
-    d = 2**n
-    t = w.matrix.reshape(d, d, d, d)
-    side_words = {
-        word: pauli_word(word) for word in itertools.product("1xyz", repeat=n)
-    }
-    coefficients = {}
-    for win, a in side_words.items():
-        for wout, b in side_words.items():
-            value = complex(np.einsum("iajb,ji,ba->", t, a, b)) / 4**n
-            if abs(value.imag) > LINALG_TOL * d:
-                raise ValueError("decomposition of a non-Hermitian matrix")
-            coefficients[win + wout] = value.real
-    return PauliDecomposition(n, coefficients)
+    values = product_expectations(w.matrix, [PAULI_STACK] * (2 * n)) / 4**n
+    if np.max(np.abs(values.imag)) > LINALG_TOL * 2**n:
+        raise ValueError("decomposition of a non-Hermitian matrix")
+    words = itertools.product("1xyz", repeat=2 * n)
+    return PauliDecomposition(n, dict(zip(words, values.real.ravel().tolist())))
 
 
-def _projector_expectation(matrix: np.ndarray, vectors) -> float:
-    """<v|W|v> for the product vector v = kron of the given qubit vectors."""
-    v = kron_all(np.asarray(x).reshape(-1, 1) for x in vectors).reshape(-1)
-    return float(np.real(v.conj() @ matrix @ v))
+def _eigen_expectations(w: ProcessMatrix) -> np.ndarray:
+    """<v|W|v> for every product v of Pauli eigenvectors, one per qubit:
+    the real (3, 2) * 2n tensor with a (basis x/y/z, eigenvalue bit) axis
+    pair per qubit, inputs first."""
+    n = _qubit_count(w)
+    t = product_expectations(w.matrix, [EIGENPROJECTOR_STACK] * (2 * n))
+    return t.real.reshape((3, 2) * (2 * n))
+
+
+def _parity_sum(t: np.ndarray, bases, xi_support, eta_support) -> float:
+    """Sum of <v|W|v> from ``_eigen_expectations`` in the given per-qubit
+    bases over the input bits s and output bits m whose parities over
+    xi_support and eta_support agree, averaged over the 2^(n-1) admitted m."""
+    n = len(bases) // 2
+    sub = t[tuple(i for b in bases for i in ("xyz".index(b), slice(None)))]
+    bits = np.indices(sub.shape)
+    s_parity = bits[list(xi_support)].sum(axis=0) % 2
+    m_parity = bits[[n + j for j in eta_support]].sum(axis=0) % 2
+    return float(sub[s_parity == m_parity].sum()) / 2 ** (n - 1)
 
 
 def constraint_sum_single(
@@ -138,7 +148,8 @@ def constraint_sum_single(
 
     For any Hermitian W the sum equals 2 w_11 + 2 w_{alpha,beta} under the
     rule m=s and 2 w_11 + 2 w_{1,beta} under m=0; it must equal 1 on a valid
-    W, forcing the respective coefficient to zero.
+    W, forcing the respective coefficient to zero. It is the parity-subset
+    sum with xi_support [0] (m=s) or [] (m=0).
     """
     if alpha not in "xyz" or beta not in "xyz":
         raise ValueError("alpha and beta must be x, y or z")
@@ -146,12 +157,8 @@ def constraint_sum_single(
         raise ValueError(f"unknown rule {m_rule!r}")
     if _qubit_count(w) != 1:
         raise DimensionMismatchError("constraint_sum_single needs one qubit in/out")
-    lhs = 0.0
-    for s in (0, 1):
-        m = s if m_rule == "m=s" else 0
-        lhs += _projector_expectation(
-            w.matrix, [pauli_eigenvector(alpha, s), pauli_eigenvector(beta, m)]
-        )
+    xi_support = [0] if m_rule == "m=s" else []
+    lhs = _parity_sum(_eigen_expectations(w), alpha + beta, xi_support, [0])
     label = f"w_{alpha}{beta}" if m_rule == "m=s" else f"w_1{beta}"
     return ConstraintRecord(
         description=f"alpha={alpha}, beta={beta}, rule {m_rule}",
@@ -163,43 +170,31 @@ def constraint_sum_single(
 
 
 def _bookkeeping_records(w: ProcessMatrix, n: int, tol: float):
-    """Trace and PSD checks shared by the constructive procedures."""
+    """Trace, hermiticity and PSD checks shared by the constructive procedures."""
     records = []
     trace = float(np.trace(w.matrix).real)
     if abs(trace - 2**n) > tol:
-        records.append(
-            ConstraintRecord(
-                description=f"Tr(W) = {2**n}",
-                lhs_value=trace,
-                expected=float(2**n),
-                coefficient_label="trace",
-                coefficient_value=(trace - 2**n) / 2**n,
-            )
-        )
-    if not is_psd(w.matrix, tol):
-        mineig = min_eigenvalue(w.matrix, tol)
-        records.append(
-            ConstraintRecord(
-                description="W >= 0",
-                lhs_value=mineig,
-                expected=0.0,
-                coefficient_label="min_eigenvalue",
-                coefficient_value=mineig,
-            )
-        )
+        records.append(ConstraintRecord(
+            f"Tr(W) = {2**n}", trace, float(2**n), "trace", (trace - 2**n) / 2**n
+        ))
+    if not is_hermitian(w.matrix, tol):
+        gap = float(np.max(np.abs(w.matrix - w.matrix.conj().T)))
+        records.append(ConstraintRecord("W = W^dagger", gap, 0.0, "hermiticity", gap))
+        return records
+    mineig = min_eigenvalue(w.matrix, tol)
+    if mineig < -tol:
+        records.append(ConstraintRecord("W >= 0", mineig, 0.0, "min_eigenvalue", mineig))
     return records
 
 
-def _finish_report(w: ProcessMatrix, n: int, w1: np.ndarray, violations, tol: float):
-    residual = frobenius_norm(w.matrix - kron(w1, np.eye(2**n)))
-    w1_psd = is_psd((w1 + w1.conj().T) / 2, tol)
+def _finish_report(w: ProcessMatrix, w1: np.ndarray, violations, tol: float):
+    """Certify W = W_1 (x) I: no violations, Frobenius residual within tol,
+    and W_1 a Hermitian PSD operator of unit trace."""
+    residual = frobenius_norm(w.matrix - kron_all([w1, np.eye(w.spec.parties[0].d_out)]))
+    w1_herm = (w1 + w1.conj().T) / 2
+    w1_psd = frobenius_norm(w1 - w1_herm) <= tol and is_psd(w1_herm, tol)
     w1_trace = float(np.trace(w1).real)
-    certified = (
-        not violations
-        and residual <= tol
-        and w1_psd
-        and abs(w1_trace - 1.0) <= tol
-    )
+    certified = not violations and residual <= tol and w1_psd and abs(w1_trace - 1.0) <= tol
     return ReductionReport(
         certified=certified,
         w1=w1,
@@ -219,18 +214,34 @@ def reduce_single_qubit(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> Reduction
     """
     if _qubit_count(w) != 1:
         raise DimensionMismatchError("reduce_single_qubit needs one qubit in/out")
-    violations = []
-    for alpha in "xyz":
-        for beta in "xyz":
-            for rule in ("m=s", "m=0"):
-                rec = constraint_sum_single(w, alpha, beta, rule)
-                if not rec.passes(tol):
-                    violations.append(rec)
+    records = (
+        constraint_sum_single(w, alpha, beta, rule)
+        for alpha in "xyz" for beta in "xyz" for rule in ("m=s", "m=0")
+    )
+    violations = [rec for rec in records if not rec.passes(tol)]
     violations.extend(_bookkeeping_records(w, 1, tol))
-    w1 = np.eye(2, dtype=complex) / 2
-    for alpha in "xyz":
-        w1 += pauli_coefficient(w.matrix, (alpha, "1")) * pauli(alpha)
-    return _finish_report(w, 1, w1, violations, tol)
+    w_alpha1 = product_expectations(w.matrix, [PAULI_STACK[1:], PAULI_STACK[:1]]).real / 4
+    w1 = np.eye(2, dtype=complex) / 2 + np.tensordot(w_alpha1[:, 0], PAULI_STACK[1:], axes=1)
+    return _finish_report(w, w1, violations, tol)
+
+
+def _parity_record(t: np.ndarray, trace: float, alphas, betas, xi_support,
+                   eta_support) -> ConstraintRecord:
+    """The ``appendix_constraint_sum`` record, from ``_eigen_expectations``."""
+    n = len(alphas)
+    lhs = _parity_sum(t, alphas + betas, xi_support, eta_support)
+    xi_word = "".join(alphas[i] if i in xi_support else "1" for i in range(n))
+    eta_word = "".join(betas[i] if i in eta_support else "1" for i in range(n))
+    return ConstraintRecord(
+        description=(
+            f"alphas={''.join(alphas)}, betas={''.join(betas)}, "
+            f"xi_support={list(xi_support)}, eta_support={list(eta_support)}"
+        ),
+        lhs_value=lhs,
+        expected=1.0,
+        coefficient_label=f"w_{xi_word},{eta_word}",
+        coefficient_value=lhs / 2**n - trace / 4**n,
+    )
 
 
 def appendix_constraint_sum(
@@ -258,34 +269,8 @@ def appendix_constraint_sum(
         raise ValueError("eta_support must be nonempty")
     if any(i < 0 or i >= n for i in xi_support + eta_support):
         raise ValueError("support index out of range")
-
-    lhs = 0.0
-    for s in itertools.product((0, 1), repeat=n):
-        target_parity = sum(s[i] for i in xi_support) % 2
-        subset = [
-            m
-            for m in itertools.product((0, 1), repeat=n)
-            if sum(m[j] for j in eta_support) % 2 == target_parity
-        ]
-        in_vecs = [pauli_eigenvector(alphas[i], s[i]) for i in range(n)]
-        for m in subset:
-            out_vecs = [pauli_eigenvector(betas[i], m[i]) for i in range(n)]
-            lhs += _projector_expectation(w.matrix, in_vecs + out_vecs) / len(subset)
-
-    w_identity = float(np.trace(w.matrix).real) / 4**n
-    implied = lhs / 2**n - w_identity
-    xi_word = "".join(alphas[i] if i in xi_support else "1" for i in range(n))
-    eta_word = "".join(betas[i] if i in eta_support else "1" for i in range(n))
-    return ConstraintRecord(
-        description=(
-            f"alphas={''.join(alphas)}, betas={''.join(betas)}, "
-            f"xi_support={xi_support}, eta_support={eta_support}"
-        ),
-        lhs_value=lhs,
-        expected=1.0,
-        coefficient_label=f"w_{xi_word},{eta_word}",
-        coefficient_value=implied,
-    )
+    trace = float(np.trace(w.matrix).real)
+    return _parity_record(_eigen_expectations(w), trace, alphas, betas, xi_support, eta_support)
 
 
 def _multiqubit_constraints(n: int):
@@ -326,14 +311,12 @@ def reduce_multiqubit(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ReductionRe
     n = _qubit_count(w)
     if n > MAX_QUBITS:
         raise DimensionMismatchError(f"at most {MAX_QUBITS} qubits supported")
-    violations = []
-    for alphas, betas, xi_support, eta_support in _multiqubit_constraints(n):
-        rec = appendix_constraint_sum(w, alphas, betas, xi_support, eta_support)
-        if not rec.passes(tol):
-            violations.append(rec)
+    t = _eigen_expectations(w)  # once per W, shared by every constraint
+    trace = float(np.trace(w.matrix).real)
+    records = (_parity_record(t, trace, *c) for c in _multiqubit_constraints(n))
+    violations = [rec for rec in records if not rec.passes(tol)]
     violations.extend(_bookkeeping_records(w, n, tol))
-    w1 = partial_trace_over_outputs(w) / 2**n
-    return _finish_report(w, n, w1, violations, tol)
+    return _finish_report(w, partial_trace_over_outputs(w) / 2**n, violations, tol)
 
 
 def projection_oracle(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ReductionReport:
@@ -341,45 +324,21 @@ def projection_oracle(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ReductionRe
 
     W_1 = Tr_out(W) / d_out; certifies iff the Frobenius residual
     ||W - W_1 (x) I|| is within tol, W_1 is a density matrix, and all
-    normalization constraints of the validity check pass.
+    normalization constraints of the validity check pass (the same values
+    ``validate`` computes).
     """
     if len(w.spec.parties) != 1:
         raise DimensionMismatchError("projection_oracle needs a single party")
-    dims = w.spec.parties[0]
-    w1 = partial_trace_over_outputs(w) / dims.d_out
-    residual = frobenius_norm(w.matrix - kron(w1, np.eye(dims.d_out)))
+    values, expected = normalization_values(w)
     violations = []
-    for label, matrix, expected in normalization_constraints(w.spec):
-        value = complex(np.trace(w.matrix @ matrix))
-        if abs(value - expected) > tol:
-            violations.append(
-                ConstraintRecord(
-                    description=f"normalization {label}",
-                    lhs_value=value.real,
-                    expected=expected,
-                    coefficient_label=label,
-                    coefficient_value=abs(value - expected),
-                )
-            )
-    w1_herm = (w1 + w1.conj().T) / 2
-    w1_psd = (
-        frobenius_norm(w1 - w1_herm) <= tol and is_psd(w1_herm, tol)
-    )
-    w1_trace = float(np.trace(w1).real)
-    certified = (
-        residual <= tol
-        and not violations
-        and w1_psd
-        and abs(w1_trace - 1.0) <= tol
-    )
-    return ReductionReport(
-        certified=certified,
-        w1=w1,
-        residual=residual,
-        violations=tuple(violations),
-        w1_psd=w1_psd,
-        w1_trace=w1_trace,
-    )
+    for index in np.flatnonzero(np.abs(values - expected) > tol):
+        label = constraint_label(w.spec, index)
+        value, want = values[index], float(expected[index])
+        violations.append(ConstraintRecord(
+            f"normalization {label}", float(value.real), want, label, float(abs(value - want))
+        ))
+    w1 = partial_trace_over_outputs(w) / w.spec.parties[0].d_out
+    return _finish_report(w, w1, violations, tol)
 
 
 def born_equivalence(w1: np.ndarray, f: KrausFamily, w: ProcessMatrix):

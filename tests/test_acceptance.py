@@ -132,11 +132,11 @@ def test_criterion_6_reduction_negative():
     eps = 1e-3
     worst = 0.0
     ok = True
-    # all 12 single-qubit output-touching Pauli directions
-    for word in itertools.product("1xyz", repeat=2):
-        if word[1] == "1":
-            continue
-        rho = random_density(2, seed=hash(word) % 1000)
+    # all 12 single-qubit output-touching Pauli directions, each with the
+    # state seeded by the word's index (independent of PYTHONHASHSEED)
+    one_qubit_words = [w for w in itertools.product("1xyz", repeat=2) if w[1] != "1"]
+    for index, word in enumerate(one_qubit_words):
+        rho = random_density(2, seed=index)
         w = single_party(2, 2, kron(rho, np.eye(2)) + eps * pauli_word(word))
         rep = reduce_single_qubit(w)
         label = f"w_{word[0]}{word[1]}"

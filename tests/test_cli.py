@@ -27,6 +27,19 @@ def invalid_pm_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def nonhermitian_pm_path(tmp_path):
+    m = kron(random_density(2, 1), np.eye(2))
+    m[0, 1] += 0.1
+    path = tmp_path / "nonhermitian.pm.json"
+    pmfile.save(path, single_party(2, 2, m))
+    return str(path)
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not standard JSON")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -194,3 +207,34 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def test_validate_non_hermitian_reports_fail(capsys, nonhermitian_pm_path):
+    code = main(["validate", nonhermitian_pm_path])
+    out = capsys.readouterr().out
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert code == 1
+    assert report["status"] == "fail"
+    assert report["results"]["psd_ok"] is False
+    assert report["results"]["min_eigenvalue"] is None
+    assert report["results"]["violated_constraints"][0][0] == "hermiticity"
+
+
+def test_reduce_non_hermitian_reports_violation(capsys, nonhermitian_pm_path):
+    code, report = run(capsys, "reduce", nonhermitian_pm_path)
+    assert code == 1
+    assert report["status"] == "fail"
+    labels = [v["coefficient"] for v in report["results"]["constructive"]["violations"]]
+    assert "hermiticity" in labels
+    assert not report["results"]["projection"]["certified"]
+
+
+@pytest.mark.parametrize("command", ["reduce", "decompose"])
+def test_dimension_mismatch_is_usage_error(tmp_path, capsys, command):
+    path = str(tmp_path / "wocb.pm.json")
+    pmfile.save(path, build_w_ocb())  # two parties: no single-party reduction
+    code = main([command, path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1

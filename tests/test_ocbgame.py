@@ -166,3 +166,7 @@ def test_no_communication_bound():
 
 def test_quantum_score_violates_causal_bound():
     assert evaluate_game(build_w_ocb()).p_ocb > causal_bound_bruteforce()
+
+
+def test_causal_bound_details_computed_once():
+    assert causal_bound_details() is causal_bound_details()
