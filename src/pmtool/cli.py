@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import ocbgame, pmfile, reduction
-from .linalg import DEFAULT_TOL, DimensionMismatchError
+from .linalg import DEFAULT_TOL, DimensionMismatchError, NonHermitianError
 from .process import validate
 
 EXIT_PASS = 0
@@ -167,8 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                        help="numerical tolerance (default 1e-9)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized checks (default 0)")
         p.add_argument("--pretty", action="store_true",
                        help="human-readable output instead of JSON")
 
@@ -213,7 +211,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (pmfile.PMFileError, FileNotFoundError, DimensionMismatchError) as exc:
+    except (pmfile.PMFileError, FileNotFoundError, DimensionMismatchError,
+            NonHermitianError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

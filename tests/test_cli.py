@@ -238,3 +238,11 @@ def test_dimension_mismatch_is_usage_error(tmp_path, capsys, command):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_decompose_non_hermitian_is_usage_error(capsys, nonhermitian_pm_path):
+    code = main(["decompose", nonhermitian_pm_path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: decomposition of a non-Hermitian matrix\n"

@@ -5,6 +5,8 @@ example database keep every run on the same examples.
 """
 
 import itertools
+import json
+import re
 import time
 
 import numpy as np
@@ -30,6 +32,7 @@ from pmtool.process import (
     validate,
 )
 from pmtool.reduction import (
+    appendix_constraint_sum,
     pauli_coefficient,
     pauli_decompose,
     projection_oracle,
@@ -97,7 +100,34 @@ def test_constructive_and_projection_oracles_agree(n, seed, eps, word_seed):
     m = kron(random_density(d, seed), np.eye(d)) + eps * pauli_word(word)
     w = single_party(d, d, m)
     constructive = reduce_single_qubit(w) if n == 1 else reduce_multiqubit(w)
-    assert constructive.certified == projection_oracle(w).certified
+    assert constructive.certified == projection_oracle(w).certified == validate(w).ok
+
+
+def _parity_arguments(description):
+    """(alphas, betas, xi_support, eta_support) as a parity record spells them."""
+    m = re.fullmatch(r"alphas=(\w+), betas=(\w+), xi_support=(\[.*\]), eta_support=(\[.*\])",
+                     description)
+    return m[1], m[2], json.loads(m[3]), json.loads(m[4])
+
+
+@PROPERTY
+@given(st.integers(1, 3), SEEDS, st.data())
+def test_reduce_multiqubit_records_match_appendix_sums(n, seed, data):
+    # Every output-touching sum is violated on a random Hermitian W. All are
+    # checked against the instrument-level sum for n <= 2; at n = 3 a drawn
+    # 16 of the 4032, as each reference sum builds a 6^6 eigenprojector tensor.
+    w = single_party(2**n, 2**n, random_hermitian(4**n, seed))
+    records = [v for v in reduce_multiqubit(w).violations
+               if v.coefficient_label.startswith("w_")]
+    assert len(records) == 4**n * (4**n - 1)
+    if n == 3:
+        records = data.draw(st.lists(st.sampled_from(records), min_size=16, max_size=16))
+    for rec in records:
+        want = appendix_constraint_sum(w, *_parity_arguments(rec.description))
+        assert rec.description == want.description
+        assert rec.coefficient_label == want.coefficient_label
+        assert abs(rec.lhs_value - want.lhs_value) <= 1e-12
+        assert abs(rec.coefficient_value - want.coefficient_value) <= 1e-12
 
 
 def test_256_by_256_inputs_finish():

@@ -243,6 +243,14 @@ def test_reduce_multiqubit_detects_perturbation():
     assert hits["w_zz,zz"] == pytest.approx(0.01, abs=1e-11)
 
 
+def test_reduce_multiqubit_localizes_three_qubit_word():
+    w = perturbed(random_density(8, 7), ("y", "1", "z", "z", "y", "1"), 1e-3)
+    report = reduce_multiqubit(w)
+    assert not report.certified
+    hits = {v.coefficient_label: v.coefficient_value for v in report.violations}
+    assert hits["w_y1z,zy1"] == pytest.approx(1e-3, abs=1e-12)
+
+
 def test_reduce_multiqubit_w1_matches_coefficient_reassembly():
     # partial-trace extraction agrees with reassembling input-only coefficients
     rho = random_density(4, 6)
