@@ -87,9 +87,7 @@ def _cmd_reduce(args) -> int:
     results = {}
     certified = []
     if args.oracle in ("constructive", "both"):
-        n = reduction._qubit_count(w)
-        rep = (reduction.reduce_single_qubit(w, tol=args.tol) if n == 1
-               else reduction.reduce_multiqubit(w, tol=args.tol))
+        rep = reduction.reduce_multiqubit(w, tol=args.tol)
         results["constructive"] = _reduction_results(rep)
         certified.append(rep.certified)
     if args.oracle in ("projection", "both"):
@@ -164,9 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="numerical tolerance (default 1e-9)")
+    def common(p, tol=True):
+        if tol:
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                           help="numerical tolerance (default 1e-9)")
         p.add_argument("--pretty", action="store_true",
                        help="human-readable output instead of JSON")
 
@@ -190,17 +189,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("causal-bound",
                        help="exhaustive classical causal strategy bound")
-    common(p)
+    common(p, tol=False)
     p.set_defaults(func=_cmd_causal_bound)
 
     p = sub.add_parser("decompose", help="Pauli decomposition of a single-party W")
     p.add_argument("file")
-    common(p)
+    common(p, tol=False)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("emit-ocb", help="write the W_OCB process matrix to a file")
     p.add_argument("out")
-    common(p)
+    common(p, tol=False)
     p.set_defaults(func=_cmd_emit_ocb)
 
     return parser

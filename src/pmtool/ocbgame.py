@@ -6,9 +6,11 @@ outputs y. The score is
     p_game = (1/2) [ p(x=b | b'=0) + p(y=a | b'=1) ]
 
 which any fixed causal order with one-way classical communication bounds by
-3/4 (established here by exhaustive strategy enumeration). The process
-matrix W_OCB together with the measure-and-prepare strategies below reaches
-(2 + sqrt(2))/4.
+3/4. This is established here by enumerating deterministic strategies,
+split at b': the first party's scored guess wins exactly half of its cases
+whatever its table, so only the message and the second party's guess are
+searched (see ``causal_bound_details``). The process matrix W_OCB together
+with the measure-and-prepare strategies below reaches (2 + sqrt(2))/4.
 """
 
 from __future__ import annotations
@@ -143,82 +145,66 @@ def evaluate_strategy(strategy: CausalStrategy) -> Fraction:
     return Fraction(wins, 8)
 
 
-def _tables(keys, alphabet):
-    """All functions from keys to alphabet, as dicts."""
-    keys = list(keys)
-    for values in itertools.product(alphabet, repeat=len(keys)):
-        yield dict(zip(keys, values))
+def _best_strategy(order: str, n_msg: int) -> tuple:
+    """(best score, a deterministic strategy reaching it) for one causal
+    order with an n_msg-symbol message.
 
-
-def _enumerate_a_before_b(n_msg: int):
-    bits = (0, 1)
-    msgs = range(n_msg)
-    for f in itertools.product(bits, repeat=2):
-        for g in itertools.product(msgs, repeat=2):
-            for h in _tables(itertools.product(bits, bits, msgs), bits):
-                yield CausalStrategy("A_before_B", f, g, h)
-
-
-def _enumerate_b_before_a(n_msg: int):
-    bits = (0, 1)
-    msgs = range(n_msg)
-    keys_bb = list(itertools.product(bits, bits))
-    for f in _tables(keys_bb, bits):
-        for g in _tables(keys_bb, msgs):
-            for h in _tables(itertools.product(bits, msgs), bits):
-                yield CausalStrategy("B_before_A", f, g, h)
-
-
-def _max_b_before_a_factored(n_msg: int) -> Fraction:
-    """Max over B-before-A strategies, factored for large message alphabets.
-
-    The score splits as wins = w1(second_output, message at b'=0)
-    + w2(first_output at b'=1); enumerating each factor exhaustively and
-    adding the maxima covers every strategy in the full product space.
+    The score splits at b'. The first party's scored guess (x at b'=0 when
+    A is first, y at b'=1 when B is first) cannot see the other party's
+    input, so every output table wins exactly 2 of those 4 cases. The
+    second party's scored guess targets the first party's scored input t
+    (a, or b at b'=0) from the message g[t] and its own other input u, so
+    only g and the guess table h over (u, message) are searched. Unscored
+    table entries are 0.
     """
-    bits = (0, 1)
-    msgs = range(n_msg)
-    best_w1 = 0
-    for g0 in itertools.product(msgs, repeat=2):  # message table at b'=0
-        for h in _tables(itertools.product(bits, msgs), bits):
-            w1 = sum(h[(a, g0[b])] == b for a in bits for b in bits)
-            best_w1 = max(best_w1, w1)
-    best_w2 = 0
-    for y1 in itertools.product(bits, repeat=2):  # y table at b'=1
-        w2 = sum(y1[b] == a for a in bits for b in bits)
-        best_w2 = max(best_w2, w2)
-    return Fraction(best_w1 + best_w2, 8)
+    bits, msgs = (0, 1), range(n_msg)
+    keys = list(itertools.product(bits, msgs))
+    wins = -1
+    for g_try in itertools.product(msgs, repeat=2):
+        for values in itertools.product(bits, repeat=len(keys)):
+            h_try = dict(zip(keys, values))
+            w = sum(h_try[(u, g_try[t])] == t for t in bits for u in bits)
+            if w > wins:
+                wins, g, h = w, g_try, h_try
+    if order == "A_before_B":
+        second = {(b, bp, m): h[(b, m)] if bp else 0
+                  for b, bp, m in itertools.product(bits, bits, msgs)}
+        strategy = CausalStrategy(order, (0, 0), g, second)
+    else:
+        pairs = list(itertools.product(bits, bits))
+        message = {(b, bp): 0 if bp else g[b] for b, bp in pairs}
+        strategy = CausalStrategy(order, dict.fromkeys(pairs, 0), message, h)
+    score = Fraction(2 + wins, 8)
+    if evaluate_strategy(strategy) != score:
+        raise RuntimeError(f"b'-split score {score} not reached by {strategy}")
+    return score, strategy
 
 
 @functools.cache
 def causal_bound_details() -> CausalBoundReport:
-    """Exhaustive enumeration of deterministic causal strategies.
+    """The classical causal bound by the b'-split enumeration.
 
-    One-bit forward message in both orders, plus a two-bit rerun for
-    B-before-A (where the first party holds two input bits); deterministic
-    maxima bound all mixed strategies by convexity. The bound is a constant,
-    so the enumeration runs once per process and every call shares the report.
+    A one-bit forward message in both orders, plus a two-bit rerun for
+    B-before-A (where the first party holds two input bits), and a
+    one-symbol message in both orders for the no-communication value. Each
+    quantity is the best deterministic score of its order, which bounds all
+    mixed strategies by convexity; ``_best_strategy`` searches only the
+    tables the score depends on and checks its strategy with
+    ``evaluate_strategy``. The bound is a constant, so the enumeration runs
+    once per process and every call shares the report.
     """
-    best_ab = Fraction(0)
-    best_ab_strategy = None
-    for strat in _enumerate_a_before_b(2):
-        score = evaluate_strategy(strat)
-        if score > best_ab:
-            best_ab, best_ab_strategy = score, strat
-    best_ba = max(evaluate_strategy(s) for s in _enumerate_b_before_a(2))
-    best_ba_two = _max_b_before_a_factored(4)
-    best_nocomm = max(
-        max(evaluate_strategy(s) for s in _enumerate_a_before_b(1)),
-        max(evaluate_strategy(s) for s in _enumerate_b_before_a(1)),
-    )
-    bound = max(best_ab, best_ba, best_ba_two)
+    ab = _best_strategy("A_before_B", 2)
+    ba = _best_strategy("B_before_A", 2)
+    ba_two = _best_strategy("B_before_A", 4)
+    bound, best = max(ab, ba, ba_two, key=lambda result: result[0])
     return CausalBoundReport(
-        a_before_b=best_ab,
-        b_before_a=best_ba,
-        b_before_a_two_bit=best_ba_two,
-        no_communication=best_nocomm,
+        a_before_b=ab[0],
+        b_before_a=ba[0],
+        b_before_a_two_bit=ba_two[0],
+        no_communication=max(_best_strategy(order, 1)[0]
+                             for order in ("A_before_B", "B_before_A")),
         bound=bound,
-        best_strategy=best_ab_strategy,
+        best_strategy=best,
     )
 
 

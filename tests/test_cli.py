@@ -5,7 +5,7 @@ import pytest
 
 from pmtool import pmfile
 from pmtool.cli import main
-from pmtool.linalg import kron, random_density
+from pmtool.linalg import kron, pauli, random_density
 from pmtool.ocbgame import build_w_ocb
 from pmtool.process import single_party
 
@@ -153,6 +153,16 @@ def test_reduce_invalid_file(capsys, invalid_pm_path):
     assert report["status"] == "fail"
 
 
+def test_reduce_single_qubit_lists_each_word_once(tmp_path, capsys):
+    w = kron(random_density(2, 0), np.eye(2)) + 0.05 * kron(np.eye(2), pauli("z"))
+    path = str(tmp_path / "perturbed.pm.json")
+    pmfile.save(path, single_party(2, 2, w))
+    code, report = run(capsys, "reduce", path, "--oracle", "constructive")
+    assert code == 1
+    labels = [v["coefficient"] for v in report["results"]["constructive"]["violations"]]
+    assert labels.count("w_1,z") == 1
+
+
 def test_ocb_game_report(capsys):
     code, report = run(capsys, "ocb-game")
     assert code == 0
@@ -206,6 +216,15 @@ def test_deterministic_reports(capsys, valid_pm_path):
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["causal-bound", "decompose", "emit-ocb"])
+def test_tol_only_where_read(tmp_path, command):
+    # these subcommands take no tolerance, so argparse rejects --tol
+    files = [] if command == "causal-bound" else [str(tmp_path / "w.pm.json")]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *files, "--tol", "1e-3"])
     assert exc.value.code == 2
 
 

@@ -158,6 +158,36 @@ def test_causal_bound_is_three_quarters_exactly():
     assert details.best_strategy.order == "A_before_B"
 
 
+def _tables(keys, alphabet):
+    """All functions from keys to alphabet, as dicts."""
+    keys = list(keys)
+    return [dict(zip(keys, values))
+            for values in itertools.product(alphabet, repeat=len(keys))]
+
+
+def _brute_force_max(order, n_msg):
+    """Best score over every deterministic strategy of one causal order."""
+    bits, msgs = (0, 1), range(n_msg)
+    pairs = list(itertools.product(bits, bits))
+    if order == "A_before_B":
+        tables = (_tables(bits, bits), _tables(bits, msgs),
+                  _tables(itertools.product(bits, bits, msgs), bits))
+    else:
+        tables = (_tables(pairs, bits), _tables(pairs, msgs),
+                  _tables(itertools.product(bits, msgs), bits))
+    return max(evaluate_strategy(CausalStrategy(order, f, g, h))
+               for f, g, h in itertools.product(*tables))
+
+
+def test_causal_bound_matches_exhaustive_enumeration():
+    details = causal_bound_details()
+    assert details.a_before_b == _brute_force_max("A_before_B", 2)
+    assert details.b_before_a == _brute_force_max("B_before_A", 2)
+    assert details.no_communication == max(
+        _brute_force_max(order, 1) for order in ("A_before_B", "B_before_A")
+    )
+
+
 def test_no_communication_bound():
     # With a trivial message alphabet neither output can correlate with the
     # other laboratory's input, so the enumerated maximum is 1/2.
