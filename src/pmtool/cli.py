@@ -22,10 +22,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _matrix_entries(m: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(m).reshape(-1)]
-
-
 def _report(command: str, inputs: dict, tolerances: dict, results: dict,
             status: str) -> dict:
     return dict(command=command, inputs=inputs, tolerances=tolerances,
@@ -40,16 +36,6 @@ def _emit(report: dict, pretty: bool) -> None:
         print(f"status: {report['status']}")
     else:
         print(json.dumps(report, indent=1))
-
-
-def _violation_rows(violations) -> list:
-    return [{
-        "description": v.description,
-        "lhs_value": v.lhs_value,
-        "expected": v.expected,
-        "coefficient": v.coefficient_label,
-        "coefficient_value": v.coefficient_value,
-    } for v in violations]
 
 
 def _cmd_validate(args) -> int:
@@ -77,8 +63,14 @@ def _reduction_results(report) -> dict:
         "residual": report.residual,
         "w1_psd": report.w1_psd,
         "w1_trace": report.w1_trace,
-        "w1": None if report.w1 is None else _matrix_entries(report.w1),
-        "violations": _violation_rows(report.violations),
+        "w1": pmfile.matrix_entries(report.w1),
+        "violations": [{
+            "description": v.description,
+            "lhs_value": v.lhs_value,
+            "expected": v.expected,
+            "coefficient": v.coefficient_label,
+            "coefficient_value": v.coefficient_value,
+        } for v in report.violations],
     }
 
 

@@ -1,15 +1,16 @@
 """Process-matrix interchange files (extension .pm.json).
 
 A document holds the party dimensions and the dense matrix with explicit
-[re, im] entry pairs, row-major. Numbers serialize as shortest round-trip
-decimals, so serialize/parse is bit exact. Hermiticity is not enforced at
-parse time; validation is a separate command.
+[re, im] entry pairs, row-major. The header fields d_in, d_out, rows and
+cols are JSON integers. Numbers serialize as shortest round-trip decimals,
+so serialize/parse is bit exact. Hermiticity is not enforced at parse time;
+validation is a separate command.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
-import math
 
 import numpy as np
 
@@ -21,20 +22,27 @@ class PMFileError(ValueError):
     """Malformed process-matrix document."""
 
 
+def matrix_entries(m: np.ndarray) -> list:
+    """The [re, im] pairs of a complex matrix's entries, row-major."""
+    return [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+
+
 def serialize(w: ProcessMatrix, label: str = None) -> str:
     d = w.spec.total_dim
-    entries = [
-        [float(z.real), float(z.imag)] for z in w.matrix.reshape(-1)
-    ]
     doc = {
-        "parties": [
-            {"d_in": p.d_in, "d_out": p.d_out} for p in w.spec.parties
-        ],
-        "matrix": {"rows": d, "cols": d, "entries": entries},
+        "parties": [{"d_in": p.d_in, "d_out": p.d_out} for p in w.spec.parties],
+        "matrix": {"rows": d, "cols": d, "entries": matrix_entries(w.matrix)},
     }
     if label is not None:
         doc["label"] = label
     return json.dumps(doc, indent=1)
+
+
+def _header_int(obj: dict, key: str) -> int:
+    """A header field, which must be a JSON integer: no bool, float or string."""
+    if type(obj[key]) is not int:
+        raise TypeError(f"{key} is not an integer")
+    return obj[key]
 
 
 def parse(text: str) -> ProcessMatrix:
@@ -43,6 +51,8 @@ def parse(text: str) -> ProcessMatrix:
     except json.JSONDecodeError as exc:
         raise PMFileError(f"syntax error at line {exc.lineno}, column {exc.colno}: "
                           f"{exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:  # nested too deeply, or an over-long integer
+        raise PMFileError(f"unreadable document: {exc}") from None
     if not isinstance(doc, dict):
         raise PMFileError("document must be a JSON object")
 
@@ -52,7 +62,7 @@ def parse(text: str) -> ProcessMatrix:
     parties = []
     for i, p in enumerate(parties_raw):
         try:
-            parties.append(DimensionPair(int(p["d_in"]), int(p["d_out"])))
+            parties.append(DimensionPair(_header_int(p, "d_in"), _header_int(p, "d_out")))
         except (TypeError, KeyError, ValueError) as exc:
             raise PMFileError(f"party {i} needs positive integer d_in/d_out") from exc
     spec = PartySpec(tuple(parties))
@@ -61,10 +71,10 @@ def parse(text: str) -> ProcessMatrix:
     if not isinstance(matrix_raw, dict):
         raise PMFileError("'matrix' must be an object")
     try:
-        rows, cols = int(matrix_raw["rows"]), int(matrix_raw["cols"])
+        rows, cols = _header_int(matrix_raw, "rows"), _header_int(matrix_raw, "cols")
         entries = matrix_raw["entries"]
     except (TypeError, KeyError, ValueError) as exc:
-        raise PMFileError("'matrix' needs rows, cols and entries") from exc
+        raise PMFileError("'matrix' needs integer rows and cols, and entries") from exc
     if rows != cols or rows != spec.total_dim:
         raise PMFileError(
             f"matrix is {rows}x{cols} but the party dimensions require "
@@ -75,23 +85,27 @@ def parse(text: str) -> ProcessMatrix:
                           f"{len(entries) if isinstance(entries, list) else 'non-list'}")
 
     values = np.empty(rows * cols, dtype=complex)
-    for i, entry in enumerate(entries):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
-        ):
-            raise PMFileError(f"entry {i} must be a [re, im] number pair")
-        re, im = float(entry[0]), float(entry[1])
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise PMFileError(f"entry {i} is not finite")
-        values[i] = complex(re, im)
+    try:
+        for i, entry in enumerate(entries):
+            # JSON gives exactly int, float or bool; a bool is not a number here
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and all(type(v) in (int, float) for v in entry)):
+                raise PMFileError(f"entry {i} must be a [re, im] number pair")
+            values[i] = z = complex(*entry)
+            if not cmath.isfinite(z):
+                raise OverflowError
+    except OverflowError:  # not finite, or an integer too large for a float
+        raise PMFileError(f"entry {i} is not finite") from None
     return ProcessMatrix(spec, values.reshape(rows, cols))
 
 
 def load(path) -> ProcessMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise PMFileError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    return parse(text)
 
 
 def save(path, w: ProcessMatrix, label: str = None) -> None:

@@ -10,7 +10,8 @@ independent procedures establish this:
   for the Pauli coefficient w_target it pins, so ``reduce_multiqubit`` reads
   every sum off one Pauli transform of W; ``constraint_sum_single`` and
   ``appendix_constraint_sum`` keep the instrument-level form, sums of
-  <v|W|v> over product eigenvectors, as the reference;
+  <v|W|v> over the product eigenvectors of the bases one instrument
+  measures and prepares, as the reference;
 * a projection oracle — partial-trace projection plus a Frobenius residual
   and a density-matrix check on W_1, valid in any dimension.
 
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -79,7 +79,7 @@ class PauliDecomposition:
 @dataclass(frozen=True)
 class ReductionReport:
     certified: bool
-    w1: Optional[np.ndarray]
+    w1: np.ndarray
     residual: float
     violations: tuple
     w1_psd: bool
@@ -125,25 +125,17 @@ def pauli_decompose(w: ProcessMatrix) -> PauliDecomposition:
     return PauliDecomposition(n, dict(zip(words, values.real.ravel().tolist())))
 
 
-def _eigen_expectations(w: ProcessMatrix) -> np.ndarray:
-    """<v|W|v> for every product v of Pauli eigenvectors, one per qubit:
-    the real (3, 2) * 2n tensor with a (basis x/y/z, eigenvalue bit) axis
-    pair per qubit, inputs first."""
-    n = _qubit_count(w)
-    t = product_expectations(w.matrix, [EIGENPROJECTOR_STACK] * (2 * n))
-    return t.real.reshape((3, 2) * (2 * n))
-
-
-def _parity_sum(t: np.ndarray, bases, xi_support, eta_support) -> float:
-    """Sum of <v|W|v> from ``_eigen_expectations`` in the given per-qubit
-    bases over the input bits s and output bits m whose parities over
-    xi_support and eta_support agree, averaged over the 2^(n-1) admitted m."""
+def _parity_sum(w: ProcessMatrix, bases, xi_support, eta_support) -> float:
+    """Sum of <v|W|v> over products v of eigenvectors of the per-qubit bases
+    (inputs first) whose input bits s and output bits m have equal parity
+    over xi_support and eta_support, averaged over the 2^(n-1) admitted m.
+    W meets only each qubit's two basis eigenprojectors: a (2,) * 2n tensor."""
     n = len(bases) // 2
-    sub = t[tuple(i for b in bases for i in ("xyz".index(b), slice(None)))]
-    bits = np.indices(sub.shape)
-    s_parity = bits[list(xi_support)].sum(axis=0) % 2
-    m_parity = bits[[n + j for j in eta_support]].sum(axis=0) % 2
-    return float(sub[s_parity == m_parity].sum()) / 2 ** (n - 1)
+    stacks = [EIGENPROJECTOR_STACK[2 * k:2 * k + 2] for k in map("xyz".index, bases)]
+    t = product_expectations(w.matrix, stacks).real
+    bits = np.indices(t.shape)
+    parity = bits[list(xi_support) + [n + j for j in eta_support]].sum(axis=0) % 2
+    return float(t[parity == 0].sum()) / 2 ** (n - 1)
 
 
 def constraint_sum_single(
@@ -157,14 +149,14 @@ def constraint_sum_single(
     W, forcing the respective coefficient to zero. It is the parity-subset
     sum with xi_support [0] (m=s) or [] (m=0).
     """
-    if alpha not in "xyz" or beta not in "xyz":
+    if alpha not in ("x", "y", "z") or beta not in ("x", "y", "z"):
         raise ValueError("alpha and beta must be x, y or z")
     if m_rule not in ("m=s", "m=0"):
         raise ValueError(f"unknown rule {m_rule!r}")
     if _qubit_count(w) != 1:
         raise DimensionMismatchError("constraint_sum_single needs one qubit in/out")
     xi_support = [0] if m_rule == "m=s" else []
-    lhs = _parity_sum(_eigen_expectations(w), alpha + beta, xi_support, [0])
+    lhs = _parity_sum(w, alpha + beta, xi_support, [0])
     label = f"w_{alpha}{beta}" if m_rule == "m=s" else f"w_1{beta}"
     return ConstraintRecord(
         description=f"alpha={alpha}, beta={beta}, rule {m_rule}",
@@ -266,7 +258,7 @@ def appendix_constraint_sum(
     alphas, betas = tuple(alphas), tuple(betas)
     if len(alphas) != n or len(betas) != n:
         raise DimensionMismatchError(f"need {n} input and output bases")
-    if any(p not in "xyz" for p in alphas + betas):
+    if any(p not in ("x", "y", "z") for p in alphas + betas):
         raise ValueError("bases must be x, y or z")
     xi_support = sorted(set(xi_support))
     eta_support = sorted(set(eta_support))
@@ -274,7 +266,7 @@ def appendix_constraint_sum(
         raise ValueError("eta_support must be nonempty")
     if any(i < 0 or i >= n for i in xi_support + eta_support):
         raise ValueError("support index out of range")
-    lhs = _parity_sum(_eigen_expectations(w), alphas + betas, xi_support, eta_support)
+    lhs = _parity_sum(w, alphas + betas, xi_support, eta_support)
     coefficient = lhs / 2**n - float(np.trace(w.matrix).real) / 4**n
     return _parity_record(alphas, betas, xi_support, eta_support, lhs, coefficient)
 

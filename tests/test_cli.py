@@ -7,7 +7,7 @@ from pmtool import pmfile
 from pmtool.cli import main
 from pmtool.linalg import kron, pauli, random_density
 from pmtool.ocbgame import build_w_ocb
-from pmtool.process import single_party
+from pmtool.process import single_party, validate
 
 
 @pytest.fixture
@@ -265,3 +265,55 @@ def test_decompose_non_hermitian_is_usage_error(capsys, nonhermitian_pm_path):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: decomposition of a non-Hermitian matrix\n"
+
+
+def _scalar_doc(d_in="1", d_out="1", rows="1", cols="1", entry="1"):
+    """A 1x1 single-party document with each field given as raw JSON text."""
+    return ('{"parties": [{"d_in": %s, "d_out": %s}], '
+            '"matrix": {"rows": %s, "cols": %s, "entries": [[%s, 0]]}}'
+            % (d_in, d_out, rows, cols, entry))
+
+
+def _assert_file_error(capsys, path):
+    # every subcommand that reads a file ends in one exit-2 error line
+    for command in ("validate", "reduce", "decompose"):
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_scalar_doc_is_valid():
+    w = pmfile.parse(_scalar_doc())
+    assert w.matrix.shape == (1, 1) and validate(w).ok
+
+
+@pytest.mark.parametrize("fields", [
+    {"entry": "9" * 400}, {"entry": "9" * 5000}, {"rows": "1e999"}, {"d_in": "1e999"},
+], ids=["400-digit-entry", "5000-digit-entry", "rows-1e999", "d_in-1e999"])
+def test_oversized_numbers_are_file_errors(tmp_path, capsys, fields):
+    path = tmp_path / "big.pm.json"
+    path.write_text(_scalar_doc(**fields))
+    _assert_file_error(capsys, path)
+
+
+def test_deep_nesting_is_file_error(tmp_path, capsys):
+    path = tmp_path / "deep.pm.json"
+    path.write_text(_scalar_doc(entry="[" * 100_000 + "]" * 100_000))
+    _assert_file_error(capsys, path)
+
+
+def test_non_utf8_file_is_file_error(tmp_path, capsys):
+    path = tmp_path / "latin1.pm.json"
+    path.write_bytes(_scalar_doc().replace("{", '{"label": "caf\xe9", ', 1).encode("latin-1"))
+    _assert_file_error(capsys, path)
+
+
+@pytest.mark.parametrize("fields", [
+    {"d_in": "1.5"}, {"d_in": "1.0"}, {"d_out": "true"}, {"rows": '"1"'}, {"cols": "1.9"},
+], ids=["d_in-1.5", "d_in-1.0", "d_out-true", "rows-string", "cols-1.9"])
+def test_header_fields_must_be_integers(tmp_path, capsys, fields):
+    path = tmp_path / "header.pm.json"
+    path.write_text(_scalar_doc(**fields))
+    _assert_file_error(capsys, path)

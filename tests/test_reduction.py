@@ -122,6 +122,19 @@ def test_constraint_sum_algebra_on_arbitrary_hermitian():
             )
 
 
+@pytest.mark.parametrize("alpha", ["", "xy"])
+def test_constraint_sum_rejects_non_letter_basis(alpha):
+    w = rho_tensor_identity(random_density(2, 3))
+    with pytest.raises(ValueError, match="alpha and beta must be x, y or z"):
+        constraint_sum_single(w, alpha, "z", "m=s")
+
+
+def test_appendix_rejects_empty_basis():
+    w = rho_tensor_identity(random_density(2, 3))
+    with pytest.raises(ValueError, match="bases must be x, y or z"):
+        appendix_constraint_sum(w, ("x",), ("",), [0], [0])
+
+
 def test_reduce_single_qubit_product_input():
     rho = np.eye(2) / 2 + 0.3 * pauli("z")
     report = reduce_single_qubit(rho_tensor_identity(rho))
@@ -191,7 +204,7 @@ def test_appendix_localizes_coefficient():
     assert rec.coefficient_label == "w_x1,z1"
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_appendix_operator_identity(n):
     # lhs = 2^n (w_identity + w_target) for arbitrary Hermitian W
     rng = np.random.default_rng(100 + n)
