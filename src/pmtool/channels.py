@@ -21,6 +21,7 @@ from .linalg import (
     DEFAULT_TOL,
     DimensionMismatchError,
     DimensionPair,
+    frobenius_norm,
     pauli_eigenvector,
     projector,
 )
@@ -67,8 +68,7 @@ class Instrument:
         for br in branches:
             if br.dims != self.dims:
                 raise DimensionMismatchError("branch dimensions disagree")
-        total = sum(br.kraus_sum() for br in branches)
-        if np.max(np.abs(total - np.eye(self.dims.d_in))) > DEFAULT_TOL:
+        if not is_cptp(KrausFamily(self.dims, sum((br.operators for br in branches), ()))):
             raise ValueError("instrument branches do not sum to a CPTP map")
         object.__setattr__(self, "branches", branches)
 
@@ -109,8 +109,8 @@ def cj_of_instrument(instr: Instrument) -> list:
 
 
 def is_cptp(f: KrausFamily, tol: float = DEFAULT_TOL) -> bool:
-    """True iff sum_k E_k^dagger E_k = I_{d_in} within tol (max norm)."""
-    return bool(np.max(np.abs(f.kraus_sum() - np.eye(f.dims.d_in))) <= tol)
+    """True iff ||sum_k E_k^dagger E_k - I_{d_in}||_F <= tol."""
+    return frobenius_norm(f.kraus_sum() - np.eye(f.dims.d_in)) <= tol
 
 
 def measure_prepare_instrument(basis: str, prepared) -> Instrument:

@@ -147,6 +147,12 @@ def _cmd_emit_ocb(args) -> int:
     return EXIT_PASS
 
 
+def _tolerance(text: str) -> float:
+    if not 0 <= float(text) < float("inf"):  # nan fails both comparisons
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
+    return float(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pmtool",
@@ -156,8 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, tol=True):
         if tol:
-            p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                           help="numerical tolerance (default 1e-9)")
+            p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+                           help="bound on the Frobenius norm of a deviation (default 1e-9)")
         p.add_argument("--pretty", action="store_true",
                        help="human-readable output instead of JSON")
 
@@ -202,7 +208,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (pmfile.PMFileError, FileNotFoundError, DimensionMismatchError,
+    except (pmfile.PMFileError, OSError, DimensionMismatchError,
             NonHermitianError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

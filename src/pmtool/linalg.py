@@ -3,6 +3,12 @@
 Everything here works on plain numpy arrays (dtype complex128) in the
 computational basis |0>, |1>, ... with multi-factor indices ordered so the
 left tensor factor is most significant, matching ``numpy.kron``.
+
+Tolerances follow one rule: ``tol`` bounds the Frobenius norm of a deviation.
+A number read through a probe C, Tr[W C], then moves by at most tol ||C||_F
+(Cauchy-Schwarz), which is what its check allows; a check on a norm (a
+residual, the hermiticity gap ||m - m^dagger||_F / 2, ||sum E^dagger E - I||_F)
+or on an eigenvalue allows tol.
 """
 
 from __future__ import annotations
@@ -158,22 +164,25 @@ def projector(v: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    m = np.asarray(m)
-    return m.shape[0] == m.shape[1] and bool(np.max(np.abs(m - m.conj().T)) <= tol)
+def hermiticity_check(m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
+    """(gap, lowest): the hermiticity gap ||m - m^dagger||_F / 2 and the
+    smallest eigenvalue of the Hermitian part, -inf (not computed) when gap > tol."""
+    m = np.asarray(m, dtype=complex)
+    gap = float(np.linalg.norm(m - m.conj().T)) / 2
+    return gap, float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0]) if gap <= tol else -np.inf
 
 
 def min_eigenvalue(m: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     """Smallest eigenvalue of a Hermitian matrix (checked within tol)."""
-    m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m, tol):
+    gap, lowest = hermiticity_check(m, tol)
+    if gap > tol:
         raise NonHermitianError("min_eigenvalue requires a Hermitian matrix")
-    herm = (m + m.conj().T) / 2
-    return float(np.linalg.eigvalsh(herm)[0])
+    return lowest
 
 
 def is_psd(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return min_eigenvalue(m, tol) >= -tol
+    """Hermitian and positive semidefinite, each within tol."""
+    return hermiticity_check(m, tol)[1] >= -tol
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:

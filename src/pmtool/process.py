@@ -33,9 +33,8 @@ from .linalg import (
     DimensionMismatchError,
     DimensionPair,
     hermitian_basis,
-    is_hermitian,
+    hermiticity_check,
     kron_all,
-    min_eigenvalue,
     partial_trace,
     product_expectations,
     traceless_hermitian_basis,
@@ -52,6 +51,8 @@ class PartySpec:
         parties = tuple(self.parties)
         if not parties:
             raise ValueError("PartySpec needs at least one party")
+        if len(parties) > 16:  # the kernel takes four axes per party; numpy allows 64
+            raise DimensionMismatchError(f"at most 16 parties supported, got {len(parties)}")
         for p in parties:
             if not isinstance(p, DimensionPair):
                 raise TypeError("parties must be DimensionPair instances")
@@ -122,7 +123,7 @@ def probability(w: ProcessMatrix, branch_cjs) -> float:
             )
     stacks = [cj.matrix[np.newaxis] for cj in branch_cjs]  # one factor per party
     tr = complex(product_expectations(w.matrix, stacks).reshape(()))
-    if abs(tr.imag) > 1e-10:
+    if abs(tr.imag) > DEFAULT_TOL:
         raise ValueError(f"probability trace has imaginary part {tr.imag:.3e}")
     return tr.real
 
@@ -175,6 +176,19 @@ def _reference_coefficients(dims: DimensionPair) -> np.ndarray:
     return coefficients
 
 
+@lru_cache(maxsize=None)
+def _constraint_norms(spec: PartySpec) -> np.ndarray:
+    """||C||_F of every constraint C in ``normalization_values`` order, read-only: per
+    party a factor ||reference CJ||_F, or 1 for a direction (orthonormal basis)."""
+    norms = np.ones(1)
+    for dims in spec.parties:
+        party = np.ones(1 + dims.d_in**2 * (dims.d_out**2 - 1))
+        party[0] = np.linalg.norm(_reference_coefficients(dims))
+        norms = np.outer(norms, party).ravel()
+    norms.flags.writeable = False
+    return norms
+
+
 def normalization_values(w: ProcessMatrix):
     """(Tr[W C], expected) for every constraint C of
     ``normalization_constraints``, as flat arrays in the same order.
@@ -207,31 +221,27 @@ def validate(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityReport:
     """Check PSD, trace = product of output dimensions, and normalization."""
     violated = []
 
-    hermitian = is_hermitian(w.matrix, tol)
-    if hermitian:
-        mineig = min_eigenvalue(w.matrix, tol)
-    else:
-        mineig = float("-inf")
-        violated.append(("hermiticity", float(np.max(np.abs(w.matrix - w.matrix.conj().T)))))
-    psd_ok = hermitian and mineig >= -tol
+    gap, mineig = hermiticity_check(w.matrix, tol)
+    if gap > tol:
+        violated.append(("hermiticity", gap))
+    psd_ok = mineig >= -tol
 
     trace_value = float(np.trace(w.matrix).real)
-    trace_ok = abs(trace_value - w.spec.d_out_product) <= tol
+    trace_ok = abs(trace_value - w.spec.d_out_product) <= tol * math.sqrt(w.spec.total_dim)
     if not trace_ok:
         violated.append(("trace", abs(trace_value - w.spec.d_out_product)))
 
     values, expected = normalization_values(w)
     residuals = np.abs(values - expected)
-    worst = float(residuals.max())
-    for index in np.flatnonzero(residuals > tol):
+    over = residuals > tol * _constraint_norms(w.spec)
+    for index in np.flatnonzero(over):
         violated.append((constraint_label(w.spec, index), float(residuals[index])))
-    normalization_ok = worst <= tol
 
     return ValidityReport(
         psd_ok=psd_ok,
         min_eigenvalue=mineig,
-        normalization_ok=normalization_ok,
-        worst_residual=worst,
+        normalization_ok=not over.any(),
+        worst_residual=float(residuals.max()),
         trace_ok=trace_ok,
         trace_value=trace_value,
         violated_constraints=tuple(violated),

@@ -22,6 +22,7 @@ checking the trace rule against the standard Kraus-form Born rule.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,17 +35,16 @@ from .linalg import (
     DimensionMismatchError,
     NonHermitianError,
     frobenius_norm,
-    is_hermitian,
+    hermiticity_check,
     is_psd,
     kron_all,
-    min_eigenvalue,
     pauli_word,
     product_expectations,
 )
 from .process import ProcessMatrix, partial_trace_over_outputs, probability
 
 MAX_QUBITS = 4
-LINALG_TOL = 1e-12
+SUM_PROBE_NORM = math.sqrt(2)  # ||(I + sigma) / 2^n||_F, every constraint sum's probe
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class ConstraintRecord:
     coefficient_value: float
 
     def passes(self, tol: float) -> bool:
-        return abs(self.lhs_value - self.expected) <= tol
+        return abs(self.lhs_value - self.expected) <= tol * SUM_PROBE_NORM
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,8 @@ def pauli_coefficient(matrix: np.ndarray, word) -> float:
     """Single coefficient Tr(W sigma-word) / 4^n (n = half the word length)."""
     n2 = len(word)
     value = complex(np.trace(matrix @ pauli_word(word))) / (2**n2)
-    if abs(value.imag) > LINALG_TOL * (2**n2):
-        raise ValueError(f"non-real Pauli coefficient {value} for word {word}")
+    if abs(value.imag) > DEFAULT_TOL / math.sqrt(2**n2):  # probe norm 2^n / 4^n
+        raise NonHermitianError(f"non-real Pauli coefficient {value} for word {word}")
     return value.real
 
 
@@ -119,7 +119,7 @@ def pauli_decompose(w: ProcessMatrix) -> PauliDecomposition:
     """Full Pauli decomposition of a single-party n-qubit-in/out W."""
     values = _pauli_coefficients(w)
     n = values.ndim // 2
-    if np.max(np.abs(values.imag)) > LINALG_TOL * 2**n:
+    if np.max(np.abs(values.imag)) > DEFAULT_TOL / 2**n:
         raise NonHermitianError("decomposition of a non-Hermitian matrix")
     words = itertools.product("1xyz", repeat=2 * n)
     return PauliDecomposition(n, dict(zip(words, values.real.ravel().tolist())))
@@ -171,16 +171,14 @@ def _bookkeeping_records(w: ProcessMatrix, n: int, tol: float):
     """Trace, hermiticity and PSD checks shared by the constructive procedures."""
     records = []
     trace = float(np.trace(w.matrix).real)
-    if abs(trace - 2**n) > tol:
+    if abs(trace - 2**n) > tol * 2**n:  # the probe I has norm 2^n
         records.append(ConstraintRecord(
             f"Tr(W) = {2**n}", trace, float(2**n), "trace", (trace - 2**n) / 2**n
         ))
-    if not is_hermitian(w.matrix, tol):
-        gap = float(np.max(np.abs(w.matrix - w.matrix.conj().T)))
+    gap, mineig = hermiticity_check(w.matrix, tol)
+    if gap > tol:
         records.append(ConstraintRecord("W = W^dagger", gap, 0.0, "hermiticity", gap))
-        return records
-    mineig = min_eigenvalue(w.matrix, tol)
-    if mineig < -tol:
+    elif mineig < -tol:
         records.append(ConstraintRecord("W >= 0", mineig, 0.0, "min_eigenvalue", mineig))
     return records
 
@@ -188,11 +186,12 @@ def _bookkeeping_records(w: ProcessMatrix, n: int, tol: float):
 def _finish_report(w: ProcessMatrix, w1: np.ndarray, violations, tol: float):
     """Certify W = W_1 (x) I: no violations, Frobenius residual within tol,
     and W_1 a Hermitian PSD operator of unit trace."""
-    residual = frobenius_norm(w.matrix - kron_all([w1, np.eye(w.spec.parties[0].d_out)]))
-    w1_herm = (w1 + w1.conj().T) / 2
-    w1_psd = frobenius_norm(w1 - w1_herm) <= tol and is_psd(w1_herm, tol)
+    dims = w.spec.parties[0]
+    residual = frobenius_norm(w.matrix - kron_all([w1, np.eye(dims.d_out)]))
+    w1_psd = is_psd(w1, tol)
     w1_trace = float(np.trace(w1).real)
-    certified = not violations and residual <= tol and w1_psd and abs(w1_trace - 1.0) <= tol
+    trace_ok = abs(w1_trace - 1.0) <= tol * math.sqrt(dims.d_in / dims.d_out)  # probe I / d_out
+    certified = not violations and residual <= tol and w1_psd and trace_ok
     return ReductionReport(
         certified=certified,
         w1=w1,
@@ -293,7 +292,7 @@ def reduce_multiqubit(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ReductionRe
         raise DimensionMismatchError(f"at most {MAX_QUBITS} qubits supported")
     c = _pauli_coefficients(w).real.reshape(4**n, 4**n)
     lhs = 2**n * (c[0, 0] + c)
-    violated = np.abs(lhs - 1.0) > tol
+    violated = np.abs(lhs - 1.0) > tol * SUM_PROBE_NORM
     violated[:, 0] = False  # an output-identity word pins no coefficient
     words = list(itertools.product("1xyz", repeat=n))
     violations = []

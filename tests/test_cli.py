@@ -317,3 +317,51 @@ def test_header_fields_must_be_integers(tmp_path, capsys, fields):
     path = tmp_path / "header.pm.json"
     path.write_text(_scalar_doc(**fields))
     _assert_file_error(capsys, path)
+
+
+def test_directory_is_file_error(tmp_path, capsys):
+    _assert_file_error(capsys, tmp_path)
+
+
+def test_emit_ocb_into_directory_is_file_error(tmp_path, capsys):
+    code = main(["emit-ocb", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, tol", [
+    ("validate", "nan"), ("validate", "-1"), ("validate", "inf"),
+    ("reduce", "-1e-9"), ("ocb-game", "nan"),
+])
+def test_tol_must_be_finite_and_non_negative(tmp_path, capsys, command, tol):
+    files = [] if command == "ocb-game" else [str(tmp_path / "w.pm.json")]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *files, f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def _parties_doc(k):
+    """A 1x1 document with k parties of dimension (1, 1)."""
+    return _scalar_doc().replace('{"d_in": 1, "d_out": 1}', ", ".join(
+        ['{"d_in": 1, "d_out": 1}'] * k))
+
+
+def test_sixteen_parties_validate(tmp_path, capsys):
+    path = tmp_path / "sixteen.pm.json"
+    path.write_text(_parties_doc(16))
+    code, report = run(capsys, "validate", str(path))
+    assert code == 0 and report["status"] == "pass"
+
+
+def test_seventeen_parties_is_usage_error(tmp_path, capsys):
+    # the kernel would need 68 array axes; numpy allows 64
+    path = tmp_path / "seventeen.pm.json"
+    path.write_text(_parties_doc(17))
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: at most 16 parties supported, got 17\n"

@@ -1,4 +1,5 @@
-"""The factorised product-basis kernel against its materialised references.
+"""The factorised product-basis kernel against its materialised references,
+and the validity and reduction oracles against each other at the tolerance.
 
 Property tests draw their inputs with hypothesis; ``derandomize`` and no
 example database keep every run on the same examples.
@@ -10,13 +11,17 @@ import re
 import time
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmtool.linalg import (
+    DEFAULT_TOL,
     DimensionPair,
+    NonHermitianError,
     kron,
     kron_all,
+    partial_trace,
     pauli_word,
     product_expectations,
     random_density,
@@ -146,3 +151,70 @@ def test_256_by_256_inputs_finish():
     factors = [f for k in range(4) for f in (random_density(2, k), np.eye(2))]
     assert validate(ProcessMatrix(qubit_parties, kron_all(factors))).ok
     assert time.perf_counter() - start < 60.0
+
+
+def _swap_direction(d):
+    """(SWAP - I/d) / sqrt(d^2 - 1): unit Frobenius norm, Tr_out of it is 0."""
+    swap = np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
+    return (swap - np.eye(d * d) / d) / np.sqrt(d * d - 1)
+
+
+def _random_direction(d, seed):
+    """A random Hermitian direction of unit Frobenius norm with Tr_out of it 0."""
+    r = random_hermitian(d * d, seed)
+    r -= kron(partial_trace(r, [d, d], keep={0}), np.eye(d)) / d
+    return r / np.linalg.norm(r)
+
+
+def _certificates(w):
+    """Certificates of the reduction oracles that take W's dimensions."""
+    reports = [projection_oracle(w), reduce_multiqubit(w)]
+    if w.spec.parties[0].d_in == 2:
+        reports.append(reduce_single_qubit(w))
+    return [report.certified for report in reports]
+
+
+def test_swap_perturbation_within_tol_is_certified_by_every_oracle():
+    # 0.8 tol from rho (x) I in Frobenius norm; its reference-CJ residual
+    # 0.8 tol sqrt(3) exceeds tol but not tol ||SWAP||_F = 2 tol.
+    w = single_party(2, 2, kron(random_density(2, 0), np.eye(2))
+                     + 0.8 * DEFAULT_TOL * _swap_direction(2))
+    report = validate(w)
+    assert report.ok and report.violated_constraints == ()
+    assert report.worst_residual == pytest.approx(0.8e-9 * np.sqrt(3), rel=1e-6)
+    assert all(_certificates(w))
+
+
+@PROPERTY
+@given(st.integers(1, 3), SEEDS, st.floats(0.0, 2.0).filter(lambda s: not 0.9 < s < 1.1),
+       st.one_of(st.none(), SEEDS))
+def test_oracles_agree_at_the_tolerance_scale(n, seed, scale, direction_seed):
+    # W = rho (x) I + scale * tol * R, R of unit Frobenius norm off the W1 (x) I
+    # subspace: within tol every oracle certifies, beyond it the reduction
+    # oracles reject, and a projection certificate always implies validity.
+    d = 2**n
+    r = _swap_direction(d) if direction_seed is None else _random_direction(d, direction_seed)
+    w = single_party(d, d, kron(random_density(d, seed), np.eye(d)) + scale * DEFAULT_TOL * r)
+    certificates = _certificates(w)
+    if scale <= 0.9:
+        assert all(certificates) and validate(w).ok
+    else:
+        assert not any(certificates)
+    assert validate(w).ok or not certificates[0]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_pauli_coefficient_and_decompose_share_imaginary_bound(n, factor):
+    # The imaginary part of a coefficient Tr(W sigma)/4^n may reach tol / 2^n.
+    word = "z" * n + "x" * n
+    h = kron(random_density(2**n, n), np.eye(2**n))
+    w = h + 1j * factor * DEFAULT_TOL / 2**n * pauli_word(word)
+    if factor < 1:
+        pauli_coefficient(w, word)
+        pauli_decompose(single_party(2**n, 2**n, w))
+    else:
+        with pytest.raises(NonHermitianError):
+            pauli_coefficient(w, word)
+        with pytest.raises(NonHermitianError):
+            pauli_decompose(single_party(2**n, 2**n, w))

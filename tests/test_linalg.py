@@ -9,8 +9,8 @@ from pmtool.linalg import (
     DimensionMismatchError,
     basis_state,
     hermitian_basis,
+    hermiticity_check,
     hs_inner,
-    is_hermitian,
     is_psd,
     kron,
     min_eigenvalue,
@@ -132,7 +132,7 @@ def test_pauli_matrices():
 def test_pauli_orthogonality_and_unitarity():
     for p in "1xyz":
         sp = pauli(p)
-        assert is_hermitian(sp, 0)
+        assert np.array_equal(sp, sp.conj().T)
         assert np.allclose(sp @ sp.conj().T, I2)
     for p, q in itertools.product("1xyz", repeat=2):
         expected = 2.0 if p == q else 0.0
@@ -180,6 +180,18 @@ def test_min_eigenvalue_rejects_non_hermitian():
 def test_is_psd():
     assert is_psd(projector(basis_state(0)))
     assert not is_psd(pauli("z"))
+    assert not is_psd(np.array([[1, 1], [0, 1]], dtype=complex))  # PSD part, not Hermitian
+
+
+def test_hermiticity_check_measures_frobenius_gap():
+    m = np.array([[2, 1], [0, 3]], dtype=complex)
+    gap, lowest = hermiticity_check(m)
+    assert gap == pytest.approx(np.sqrt(2) / 2)  # ||m - m^dagger||_F / 2
+    assert lowest == float("-inf")
+    gap, lowest = hermiticity_check(m, tol=1.0)
+    assert lowest == pytest.approx(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
+    gap, lowest = hermiticity_check(pauli("y"))
+    assert gap == 0.0 and lowest == pytest.approx(-1.0)
 
 
 def test_hs_inner():
@@ -195,7 +207,7 @@ def test_hermitian_bases():
         assert len(full) == d * d
         assert len(traceless) == d * d - 1
         for m in full:
-            assert is_hermitian(m, 1e-14)
+            assert np.array_equal(m, m.conj().T)
         for m in traceless:
             assert abs(np.trace(m)) < 1e-14
         # orthonormality in the Hilbert-Schmidt inner product
@@ -208,8 +220,7 @@ def test_hermitian_bases():
 def test_random_density_is_density():
     for seed in range(5):
         rho = random_density(4, seed)
-        assert is_hermitian(rho, 1e-13)
-        assert is_psd(rho, 1e-13)
+        assert is_psd(rho, 1e-13)  # hermiticity gap and spectrum, both within 1e-13
         assert np.trace(rho).real == pytest.approx(1.0)
 
 
