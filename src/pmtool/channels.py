@@ -24,6 +24,7 @@ from .linalg import (
     frobenius_norm,
     pauli_eigenvector,
     projector,
+    unit_vector,
 )
 
 
@@ -120,9 +121,7 @@ def measure_prepare_instrument(basis: str, prepared) -> Instrument:
     """
     branches = []
     for s in (0, 1):
-        prep = np.asarray(prepared[s], dtype=complex).reshape(-1)
-        if abs(np.linalg.norm(prep) - 1.0) > DEFAULT_TOL:
-            raise ValueError(f"prepared state for outcome {s} is not a unit vector")
+        prep = unit_vector(prepared[s], f"prepared state for outcome {s}")
         kraus = np.outer(prep, pauli_eigenvector(basis, s).conj())
         branches.append(KrausFamily(DimensionPair(2, len(prep)), (kraus,)))
     return Instrument(branches[0].dims, tuple(branches))

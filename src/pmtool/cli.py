@@ -8,6 +8,7 @@ stderr. Exit codes: 0 pass/value, 1 fail, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -22,20 +23,17 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _report(command: str, inputs: dict, tolerances: dict, results: dict,
-            status: str) -> dict:
-    return dict(command=command, inputs=inputs, tolerances=tolerances,
-                results=results, status=status)
-
-
-def _emit(report: dict, pretty: bool) -> None:
-    if pretty:
-        print(f"command: {report['command']}")
-        for key, value in report["results"].items():
+def _emit(args, inputs: dict, results: dict, status: str) -> None:
+    """Print the report of ``args.command``; its tolerances are the options it reads."""
+    if args.pretty:
+        print(f"command: {args.command}")
+        for key, value in results.items():
             print(f"  {key}: {value}")
-        print(f"status: {report['status']}")
+        print(f"status: {status}")
     else:
-        print(json.dumps(report, indent=1))
+        tolerances = {"tol": args.tol} if "tol" in args else {}
+        print(json.dumps(dict(command=args.command, inputs=inputs, tolerances=tolerances,
+                              results=results, status=status), indent=1))
 
 
 def _cmd_validate(args) -> int:
@@ -52,8 +50,7 @@ def _cmd_validate(args) -> int:
         "violated_constraints": [list(v) for v in report.violated_constraints],
     }
     status = "pass" if report.ok else "fail"
-    _emit(_report("validate", {"file": args.file}, {"tol": args.tol},
-                  results, status), args.pretty)
+    _emit(args, {"file": args.file}, results, status)
     return EXIT_PASS if report.ok else EXIT_FAIL
 
 
@@ -88,15 +85,14 @@ def _cmd_reduce(args) -> int:
         certified.append(rep.certified)
     ok = all(certified)
     status = "pass" if ok else "fail"
-    _emit(_report("reduce", {"file": args.file, "oracle": args.oracle},
-                  {"tol": args.tol}, results, status), args.pretty)
+    _emit(args, {"file": args.file, "oracle": args.oracle}, results, status)
     return EXIT_PASS if ok else EXIT_FAIL
 
 
 def _cmd_ocb_game(args) -> int:
     eta = ocbgame.ETA_STATES[args.eta]
     result = ocbgame.evaluate_game(ocbgame.build_w_ocb(), eta)
-    bound = ocbgame.causal_bound_bruteforce()
+    bound = float(ocbgame.causal_bound_details().bound)
     violated = result.p_ocb > bound + args.tol
     results = {
         "p_guess_b": result.p_guess_b,
@@ -105,8 +101,7 @@ def _cmd_ocb_game(args) -> int:
         "causal_bound": bound,
     }
     status = "violated" if violated else "not_violated"
-    _emit(_report("ocb-game", {"eta": args.eta}, {"tol": args.tol},
-                  results, status), args.pretty)
+    _emit(args, {"eta": args.eta}, results, status)
     return EXIT_PASS if violated else EXIT_FAIL
 
 
@@ -120,7 +115,7 @@ def _cmd_causal_bound(args) -> int:
         "no_communication": float(details.no_communication),
         "bound_exact": str(details.bound),
     }
-    _emit(_report("causal-bound", {}, {}, results, "value"), args.pretty)
+    _emit(args, {}, results, "value")
     return EXIT_PASS
 
 
@@ -133,8 +128,7 @@ def _cmd_decompose(args) -> int:
         for word, value in sorted(decomp.coefficients.items())
     }
     results = {"n_qubits": n, "coefficients": coefficients}
-    _emit(_report("decompose", {"file": args.file}, {}, results, "value"),
-          args.pretty)
+    _emit(args, {"file": args.file}, results, "value")
     return EXIT_PASS
 
 
@@ -142,8 +136,7 @@ def _cmd_emit_ocb(args) -> int:
     w = ocbgame.build_w_ocb()
     pmfile.save(args.out, w, label="W_OCB")
     results = {"out": args.out, "rows": w.spec.total_dim}
-    _emit(_report("emit-ocb", {"out": args.out}, {}, results, "value"),
-          args.pretty)
+    _emit(args, {"out": args.out}, results, "value")
     return EXIT_PASS
 
 
@@ -153,59 +146,48 @@ def _tolerance(text: str) -> float:
     return float(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The pmtool parser, built once per process and shared by every call: do
+    not mutate it. ``parse_args`` keeps no state, so ``main`` may run repeatedly."""
     parser = argparse.ArgumentParser(
         prog="pmtool",
         description="Process-matrix validation, reduction and causal-game tools.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol=True):
+    def add(name, func, summary, *positionals, tol=True, **options):
+        """Subcommand ``name``: its positionals, an option --<key> per keyword
+        (argparse settings), then --tol where the command reads it, and --pretty."""
+        p = sub.add_parser(name, help=summary)
+        for positional in positionals:
+            p.add_argument(positional)
+        for key, settings in options.items():
+            p.add_argument(f"--{key}", **settings)
         if tol:
             p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                            help="bound on the Frobenius norm of a deviation (default 1e-9)")
         p.add_argument("--pretty", action="store_true",
                        help="human-readable output instead of JSON")
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("validate", help="check a process-matrix file")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("reduce", help="single-party reduction to W1 (x) I")
-    p.add_argument("file")
-    p.add_argument("--oracle", choices=("constructive", "projection", "both"),
-                   default="both")
-    common(p)
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("ocb-game", help="evaluate the two-party causal game")
-    p.add_argument("--eta", choices=sorted(ocbgame.ETA_STATES), default="0",
-                   help="state Bob prepares on the b'=1 branch")
-    common(p)
-    p.set_defaults(func=_cmd_ocb_game)
-
-    p = sub.add_parser("causal-bound",
-                       help="exhaustive classical causal strategy bound")
-    common(p, tol=False)
-    p.set_defaults(func=_cmd_causal_bound)
-
-    p = sub.add_parser("decompose", help="Pauli decomposition of a single-party W")
-    p.add_argument("file")
-    common(p, tol=False)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("emit-ocb", help="write the W_OCB process matrix to a file")
-    p.add_argument("out")
-    common(p, tol=False)
-    p.set_defaults(func=_cmd_emit_ocb)
-
+    add("validate", _cmd_validate, "check a process-matrix file", "file")
+    add("reduce", _cmd_reduce, "single-party reduction to W1 (x) I", "file",
+        oracle=dict(choices=("constructive", "projection", "both"), default="both"))
+    add("ocb-game", _cmd_ocb_game, "evaluate the two-party causal game",
+        eta=dict(choices=sorted(ocbgame.ETA_STATES), default="0",
+                 help="state Bob prepares on the b'=1 branch"))
+    add("causal-bound", _cmd_causal_bound, "exhaustive classical causal strategy bound",
+        tol=False)
+    add("decompose", _cmd_decompose, "Pauli decomposition of a single-party W", "file",
+        tol=False)
+    add("emit-ocb", _cmd_emit_ocb, "write the W_OCB process matrix to a file", "out",
+        tol=False)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (pmfile.PMFileError, OSError, DimensionMismatchError,

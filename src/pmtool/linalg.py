@@ -164,6 +164,14 @@ def projector(v: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def unit_vector(v: np.ndarray, name: str) -> np.ndarray:
+    """``v`` flattened to a complex vector; ValueError unless ||v|| = 1 within DEFAULT_TOL."""
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    if abs(np.linalg.norm(v) - 1.0) > DEFAULT_TOL:
+        raise ValueError(f"{name} is not a unit vector")
+    return v
+
+
 def hermiticity_check(m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
     """(gap, lowest): the hermiticity gap ||m - m^dagger||_F / 2 and the
     smallest eigenvalue of the Hermitian part, -inf (not computed) when gap > tol."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pmtool import pmfile
-from pmtool.cli import main
+from pmtool.cli import build_parser, main
 from pmtool.linalg import kron, pauli, random_density
 from pmtool.ocbgame import build_w_ocb
 from pmtool.process import single_party, validate
@@ -211,6 +211,24 @@ def test_deterministic_reports(capsys, valid_pm_path):
     _, first = run(capsys, "validate", valid_pm_path)
     _, second = run(capsys, "validate", valid_pm_path)
     assert first == second
+
+
+def test_repeated_main_calls_share_no_options(capsys, valid_pm_path):
+    # main reuses one parser; no option value may leak into the next call
+    assert build_parser() is build_parser()
+    _, report = run(capsys, "validate", valid_pm_path, "--tol", "1e-3")
+    assert report["tolerances"]["tol"] == 1e-3
+    _, report = run(capsys, "validate", valid_pm_path)
+    assert report["tolerances"]["tol"] == 1e-9
+    _, report = run(capsys, "reduce", valid_pm_path, "--oracle", "projection")
+    assert report["inputs"]["oracle"] == "projection"
+    _, report = run(capsys, "reduce", valid_pm_path)
+    assert report["inputs"]["oracle"] == "both"
+    assert set(report["results"]) == {"constructive", "projection"}
+    _, pretty = run(capsys, "ocb-game", "--pretty")
+    assert pretty.startswith("command: ocb-game")
+    _, report = run(capsys, "ocb-game")
+    assert report["command"] == "ocb-game" and report["status"] == "violated"
 
 
 def test_usage_error_exit_code():

@@ -7,12 +7,14 @@ import pytest
 
 from pmtool.channels import KrausFamily, cj_of_kraus, is_cptp
 from pmtool.linalg import (
+    DimensionMismatchError,
     DimensionPair,
     basis_state,
     kron,
     min_eigenvalue,
     pauli_eigenvector,
     projector,
+    random_hermitian,
 )
 from pmtool.ocbgame import (
     CausalStrategy,
@@ -21,7 +23,6 @@ from pmtool.ocbgame import (
     alice_cj,
     bob_cj,
     build_w_ocb,
-    causal_bound_bruteforce,
     causal_bound_details,
     evaluate_game,
     evaluate_strategy,
@@ -112,6 +113,58 @@ def test_game_value_is_eta_independent():
         )
 
 
+def _game_by_outcome_loop(w, eta):
+    """The score as 16 instrument-level ``outcome_probability`` calls."""
+    p_guess_b = p_guess_a = 0.0
+    for a in (0, 1):
+        for b in (0, 1):
+            for y in (0, 1):
+                p_guess_b += outcome_probability(w, a, b, 0, x=b, y=y, eta=eta) / 4
+            for x in (0, 1):
+                p_guess_a += outcome_probability(w, a, b, 1, x=x, y=a, eta=eta) / 4
+    return p_guess_b, p_guess_a
+
+
+TWO_QUBIT_PARTIES = PartySpec((DimensionPair(2, 2), DimensionPair(2, 2)))
+GAME_INPUTS = {
+    "w_ocb": build_w_ocb().matrix,
+    "identity": np.eye(16, dtype=complex) / 4,
+    **{f"hermitian-{seed}": random_hermitian(16, seed) for seed in (0, 1, 2)},
+}
+
+
+@pytest.mark.parametrize("eta", sorted(ETA_STATES))
+@pytest.mark.parametrize("name", sorted(GAME_INPUTS))
+def test_game_contraction_matches_outcome_loop(name, eta):
+    w = ProcessMatrix(TWO_QUBIT_PARTIES, GAME_INPUTS[name])
+    result = evaluate_game(w, ETA_STATES[eta])
+    p_guess_b, p_guess_a = _game_by_outcome_loop(w, ETA_STATES[eta])
+    assert result.p_guess_b == pytest.approx(p_guess_b, abs=1e-12)
+    assert result.p_guess_a == pytest.approx(p_guess_a, abs=1e-12)
+    assert result.p_ocb == pytest.approx((p_guess_b + p_guess_a) / 2, abs=1e-12)
+
+
+def test_game_rejects_non_unit_eta():
+    with pytest.raises(ValueError, match="unit"):
+        evaluate_game(build_w_ocb(), np.array([1.0, 1.0]))
+
+
+def test_game_rejects_other_party_dims():
+    # 16x16 like W_OCB, but Alice is a (4, 1) party
+    spec = PartySpec((DimensionPair(4, 1), DimensionPair(2, 2)))
+    with pytest.raises(DimensionMismatchError):
+        evaluate_game(ProcessMatrix(spec, np.eye(16, dtype=complex) / 4), KET0)
+    with pytest.raises(DimensionMismatchError):  # a unit qutrit eta
+        evaluate_game(build_w_ocb(), basis_state(0, 3))
+
+
+def test_game_rejects_imaginary_probabilities():
+    # Tr[(W + i c I) P] = Tr[W P] + i c for every product of unit projectors P
+    w = ProcessMatrix(TWO_QUBIT_PARTIES, build_w_ocb().matrix + 1e-6j * np.eye(16))
+    with pytest.raises(ValueError, match="imaginary"):
+        evaluate_game(w, KET0)
+
+
 def test_strategy_cjs_are_cptp():
     # Alice's outcome-summed map for each a is the CPTP measure-and-prepare
     # channel with Kraus operators |a><x|.
@@ -153,7 +206,7 @@ def test_causal_bound_is_three_quarters_exactly():
     assert details.a_before_b == Fraction(3, 4)
     assert details.b_before_a == Fraction(3, 4)
     assert details.b_before_a_two_bit == Fraction(3, 4)
-    assert causal_bound_bruteforce() == 0.75
+    assert float(details.bound) == 0.75
     assert evaluate_strategy(details.best_strategy) == Fraction(3, 4)
     assert details.best_strategy.order == "A_before_B"
 
@@ -195,7 +248,7 @@ def test_no_communication_bound():
 
 
 def test_quantum_score_violates_causal_bound():
-    assert evaluate_game(build_w_ocb()).p_ocb > causal_bound_bruteforce()
+    assert evaluate_game(build_w_ocb()).p_ocb > float(causal_bound_details().bound)
 
 
 def test_causal_bound_details_computed_once():
