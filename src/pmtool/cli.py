@@ -46,6 +46,7 @@ def _cmd_validate(args) -> int:
         "trace_ok": report.trace_ok,
         "trace_value": report.trace_value,
         "normalization_ok": report.normalization_ok,
+        "distance": report.distance,
         "worst_residual": report.worst_residual,
         "violated_constraints": [list(v) for v in report.violated_constraints],
     }

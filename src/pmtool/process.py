@@ -7,14 +7,17 @@ with one CJ operator per party.
 
 Validity = Hermitian and PSD, Tr(W) = product of output dimensions, and the
 probability rule normalizes to 1 over every choice of CPTP instruments.
-The normalization check uses a finite affine characterization: CPTP CJ
-operators form the affine set {M >= 0, Tr_out M = I}, so by linearity it
-suffices to check one reference CPTP CJ per party plus a basis of Hermitian
-directions that are traceless on the output factor. This finite test set is
-an implementation-level derivation from the probability rule, not something
-stated per party count in the source framework. ``validate`` evaluates the
-set without building it: W is contracted with a product Hermitian basis one
-tensor factor at a time (``normalization_values``); the materialised
+CPTP CJ operators form the affine set {M >= 0, Tr_out M = I}, so by
+linearity normalization means one reference CPTP CJ per party plus a basis
+of Hermitian directions traceless on the output factor (a derivation from
+the probability rule, not stated per party count in the source framework).
+With the trace, it puts W in an affine set whose linear part is the image of
+L_V = 1 - (x)_i (1 - _{O_i} + _{I_i O_i}) + (x)_i _{I_i O_i}, where
+_X W = Tr_X W (x) I_X / d_X (Araujo et al., NJP 17, 102001, 2015). In the
+orthonormal product basis of ``hermitian_basis`` on every factor, L_V keeps
+or drops each element, so ``validate`` reads W's Frobenius distance to the
+valid set off one coefficient tensor; the constraint values read off it
+(``normalization_values``) only label a rejection. The materialised
 ``normalization_constraints`` is kept as the readable reference.
 """
 
@@ -35,7 +38,6 @@ from .linalg import (
     hermitian_basis,
     hermiticity_check,
     kron_all,
-    partial_trace,
     product_expectations,
     traceless_hermitian_basis,
 )
@@ -96,6 +98,7 @@ class ValidityReport:
     psd_ok: bool
     min_eigenvalue: float
     normalization_ok: bool
+    distance: float
     worst_residual: float
     trace_ok: bool
     trace_value: float
@@ -189,23 +192,40 @@ def _constraint_norms(spec: PartySpec) -> np.ndarray:
     return norms
 
 
-def normalization_values(w: ProcessMatrix):
-    """(Tr[W C], expected) for every constraint C of
-    ``normalization_constraints``, as flat arrays in the same order.
+@lru_cache(maxsize=None)
+def _off_valid_mask(spec: PartySpec) -> np.ndarray:
+    """Where W's product-basis coefficients lie off the image of L_V, read-only:
+    L_V keeps the identity and every element in which some party is input-only
+    (input direction not the identity, output the identity)."""
+    mask = np.ones((), dtype=bool)
+    for dims in spec.parties:
+        input_only = np.zeros((dims.d_in**2, dims.d_out**2), dtype=bool)
+        input_only[1:, 0] = True
+        mask = np.logical_and.outer(mask, ~input_only)
+    mask[(0,) * mask.ndim] = False
+    mask.flags.writeable = False
+    return mask
 
-    W is contracted with hermitian_basis on every input and output factor.
-    Since that basis starts with the identity direction, a party's
-    traceless-output directions are a slice of its two axes, and its
-    reference CJ is one tensordot with ``_reference_coefficients``.
-    """
-    t = product_expectations(w.matrix, [hermitian_basis(d) for d in w.spec.factor_dims])
-    for dims in w.spec.parties:
+
+def _constraint_values(spec: PartySpec, t: np.ndarray) -> np.ndarray:
+    """Tr[W C] for every constraint C in ``normalization_constraints`` order, from
+    W's product-basis coefficients t: a party's directions are a slice of its two
+    axes, its reference CJ one tensordot with ``_reference_coefficients``."""
+    for dims in spec.parties:
         ref = np.tensordot(t, _reference_coefficients(dims), axes=([0, 1], [0, 1]))
         directions = np.moveaxis(t[:, 1:], (0, 1), (-2, -1)).reshape(ref.shape + (-1,))
         t = np.concatenate([ref[..., None], directions], axis=-1)
-    expected = np.zeros(t.size)
+    return t.reshape(-1)
+
+
+def normalization_values(w: ProcessMatrix):
+    """(Tr[W C], expected) for every constraint C of
+    ``normalization_constraints``, as flat arrays in the same order."""
+    t = product_expectations(w.matrix, [hermitian_basis(d) for d in w.spec.factor_dims])
+    values = _constraint_values(w.spec, t)
+    expected = np.zeros(values.size)
     expected[0] = 1.0
-    return t.reshape(-1), expected
+    return values, expected
 
 
 def constraint_label(spec: PartySpec, index: int) -> str:
@@ -218,34 +238,42 @@ def constraint_label(spec: PartySpec, index: int) -> str:
 
 
 def validate(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityReport:
-    """Check PSD, trace = product of output dimensions, and normalization."""
+    """Certify W iff it is Hermitian and PSD within tol and its distance to the
+    valid set, sqrt(||W - L_V W||_F^2 + (Tr W - d_out)^2 / D), is at most tol.
+
+    Rows label a rejection: hermiticity or the smallest eigenvalue, the trace,
+    the distance, then each constraint off by more than tol ||C||_F."""
     violated = []
 
     gap, mineig = hermiticity_check(w.matrix, tol)
     if gap > tol:
         violated.append(("hermiticity", gap))
-    psd_ok = mineig >= -tol
+    elif mineig < -tol:
+        violated.append(("min_eigenvalue", mineig))
 
     trace_value = float(np.trace(w.matrix).real)
-    trace_ok = abs(trace_value - w.spec.d_out_product) <= tol * math.sqrt(w.spec.total_dim)
+    trace_gap = trace_value - w.spec.d_out_product
+    trace_ok = abs(trace_gap) <= tol * math.sqrt(w.spec.total_dim)
     if not trace_ok:
-        violated.append(("trace", abs(trace_value - w.spec.d_out_product)))
+        violated.append(("trace", abs(trace_gap)))
 
-    values, expected = normalization_values(w)
-    residuals = np.abs(values - expected)
+    t = product_expectations(w.matrix, [hermitian_basis(d) for d in w.spec.factor_dims])
+    distance = math.hypot(float(np.linalg.norm(t[_off_valid_mask(w.spec)])),
+                          trace_gap / math.sqrt(w.spec.total_dim))
+    if distance > tol:
+        violated.append(("distance", distance))
+
+    values = _constraint_values(w.spec, t)
+    values[0] -= 1.0  # the reference constraint expects 1, every direction 0
+    residuals = np.abs(values)
     over = residuals > tol * _constraint_norms(w.spec)
     for index in np.flatnonzero(over):
         violated.append((constraint_label(w.spec, index), float(residuals[index])))
 
-    return ValidityReport(
-        psd_ok=psd_ok,
-        min_eigenvalue=mineig,
-        normalization_ok=not over.any(),
-        worst_residual=float(residuals.max()),
-        trace_ok=trace_ok,
-        trace_value=trace_value,
-        violated_constraints=tuple(violated),
-    )
+    return ValidityReport(psd_ok=mineig >= -tol, min_eigenvalue=mineig,
+                          normalization_ok=distance <= tol, distance=distance,
+                          worst_residual=float(residuals.max()), trace_ok=trace_ok,
+                          trace_value=trace_value, violated_constraints=tuple(violated))
 
 
 def trace_dimension_identity(w: ProcessMatrix) -> float:
@@ -267,10 +295,3 @@ def trace_dimension_identity(w: ProcessMatrix) -> float:
             total += probability(w, [cj])
     return total
 
-
-def partial_trace_over_outputs(w: ProcessMatrix) -> np.ndarray:
-    """Reduce a single-party W onto its input factor."""
-    if len(w.spec.parties) != 1:
-        raise DimensionMismatchError("single-party operation")
-    dims = w.spec.parties[0]
-    return partial_trace(w.matrix, [dims.d_in, dims.d_out], keep={0})

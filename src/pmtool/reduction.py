@@ -12,10 +12,12 @@ independent procedures establish this:
   ``appendix_constraint_sum`` keep the instrument-level form, sums of
   <v|W|v> over the product eigenvectors of the bases one instrument
   measures and prepares, as the reference;
-* a projection oracle — partial-trace projection plus a Frobenius residual
-  and a density-matrix check on W_1, valid in any dimension.
+* a projection oracle — W_1 = Tr_out W / d_out, valid in any dimension.
 
-Both certify the same inputs; ``born_equivalence`` closes the loop by
+All three certify by ``process.validate``'s rule, in ``_finish_report``: for
+one party L_V W = W_1 (x) I, so the distance to the valid set is
+hypot(||W - W_1 (x) I||, (Tr W_1 - 1) sqrt(d_out / d_in)). The constraint
+sums only label a rejection. ``born_equivalence`` closes the loop by
 checking the trace rule against the standard Kraus-form Born rule.
 """
 
@@ -36,12 +38,12 @@ from .linalg import (
     NonHermitianError,
     frobenius_norm,
     hermiticity_check,
-    is_psd,
     kron_all,
+    partial_trace,
     pauli_word,
     product_expectations,
 )
-from .process import ProcessMatrix, partial_trace_over_outputs, probability
+from .process import ProcessMatrix, probability
 
 MAX_QUBITS = 4
 SUM_PROBE_NORM = math.sqrt(2)  # ||(I + sigma) / 2^n||_F, every constraint sum's probe
@@ -68,16 +70,11 @@ class PauliDecomposition:
     n: int
     coefficients: dict
 
-    def reconstruct(self) -> np.ndarray:
-        d = 4**self.n
-        out = np.zeros((d, d), dtype=complex)
-        for word, coeff in self.coefficients.items():
-            out += coeff * pauli_word(word)
-        return out
-
 
 @dataclass(frozen=True)
 class ReductionReport:
+    """``residual`` is W's Frobenius distance to the valid set."""
+
     certified: bool
     w1: np.ndarray
     residual: float
@@ -167,59 +164,46 @@ def constraint_sum_single(
     )
 
 
-def _bookkeeping_records(w: ProcessMatrix, n: int, tol: float):
-    """Trace, hermiticity and PSD checks shared by the constructive procedures."""
-    records = []
-    trace = float(np.trace(w.matrix).real)
-    if abs(trace - 2**n) > tol * 2**n:  # the probe I has norm 2^n
-        records.append(ConstraintRecord(
-            f"Tr(W) = {2**n}", trace, float(2**n), "trace", (trace - 2**n) / 2**n
-        ))
-    gap, mineig = hermiticity_check(w.matrix, tol)
-    if gap > tol:
-        records.append(ConstraintRecord("W = W^dagger", gap, 0.0, "hermiticity", gap))
-    elif mineig < -tol:
-        records.append(ConstraintRecord("W >= 0", mineig, 0.0, "min_eigenvalue", mineig))
-    return records
-
-
-def _finish_report(w: ProcessMatrix, w1: np.ndarray, violations, tol: float):
-    """Certify W = W_1 (x) I: no violations, Frobenius residual within tol,
-    and W_1 a Hermitian PSD operator of unit trace."""
+def _finish_report(w: ProcessMatrix, violations, tol: float) -> ReductionReport:
+    """Certify W = W_1 (x) I, W_1 = Tr_out W / d_out, iff W is Hermitian and PSD
+    within tol and at most tol from the valid set. Appends trace, hermiticity and
+    (for a W that close) eigenvalue rows to ``violations``; rows never decide."""
     dims = w.spec.parties[0]
-    residual = frobenius_norm(w.matrix - kron_all([w1, np.eye(dims.d_out)]))
-    w1_psd = is_psd(w1, tol)
-    w1_trace = float(np.trace(w1).real)
-    trace_ok = abs(w1_trace - 1.0) <= tol * math.sqrt(dims.d_in / dims.d_out)  # probe I / d_out
-    certified = not violations and residual <= tol and w1_psd and trace_ok
-    return ReductionReport(
-        certified=certified,
-        w1=w1,
-        residual=residual,
-        violations=tuple(violations),
-        w1_psd=w1_psd,
-        w1_trace=w1_trace,
-    )
+    w1 = partial_trace(w.matrix, [dims.d_in, dims.d_out], keep={0}) / dims.d_out
+    trace = float(np.trace(w.matrix).real)
+    root_d = math.sqrt(dims.total)  # ||I||_F, the trace's probe norm
+    off = frobenius_norm(w.matrix - kron_all([w1, np.eye(dims.d_out)]))
+    residual = math.hypot(off, (trace - dims.d_out) / root_d)
+    if abs(trace - dims.d_out) > tol * root_d:
+        violations.append(ConstraintRecord(f"Tr(W) = {dims.d_out}", trace, float(dims.d_out),
+                                           "trace", trace / dims.d_out - 1.0))
+    gap = frobenius_norm(w.matrix - w.matrix.conj().T) / 2
+    w1_lowest = hermiticity_check(w1, tol)[1]  # W_1's gap is at most W's
+    # W's lowest eigenvalue is at least W_1's minus ||W - W_1 (x) I||_F (Weyl), so
+    # W's own spectrum is computed only when the verdict rests on it.
+    lowest = w1_lowest - off
+    if gap > tol:
+        violations.append(ConstraintRecord("W = W^dagger", gap, 0.0, "hermiticity", gap))
+    elif residual <= tol and lowest < -tol:
+        lowest = hermiticity_check(w.matrix, tol)[1]
+        if lowest < -tol:
+            violations.append(ConstraintRecord("W >= 0", lowest, 0.0, "min_eigenvalue", lowest))
+    return ReductionReport(certified=residual <= tol and gap <= tol and lowest >= -tol, w1=w1,
+                           residual=residual, violations=tuple(violations),
+                           w1_psd=w1_lowest >= -tol, w1_trace=trace / dims.d_out)
 
 
 def reduce_single_qubit(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ReductionReport:
     """Constructive single-qubit reduction via the 18 constraint sums.
 
-    Runs both rules on all nine (alpha, beta) pairs, checks Tr(W) = 2 and
-    W >= 0, then extracts W_1 = I/2 + w_x1 X + w_y1 Y + w_z1 Z and verifies
-    it is a density matrix.
+    Runs both rules on all nine (alpha, beta) pairs and records each sum off
+    by more than tol sqrt(2); ``_finish_report`` certifies.
     """
     if _qubit_count(w) != 1:
         raise DimensionMismatchError("reduce_single_qubit needs one qubit in/out")
-    records = (
-        constraint_sum_single(w, alpha, beta, rule)
-        for alpha in "xyz" for beta in "xyz" for rule in ("m=s", "m=0")
-    )
-    violations = [rec for rec in records if not rec.passes(tol)]
-    violations.extend(_bookkeeping_records(w, 1, tol))
-    w_alpha1 = product_expectations(w.matrix, [PAULI_STACK[1:], PAULI_STACK[:1]]).real / 4
-    w1 = np.eye(2, dtype=complex) / 2 + np.tensordot(w_alpha1[:, 0], PAULI_STACK[1:], axes=1)
-    return _finish_report(w, w1, violations, tol)
+    records = (constraint_sum_single(w, alpha, beta, rule)
+               for alpha in "xyz" for beta in "xyz" for rule in ("m=s", "m=0"))
+    return _finish_report(w, [rec for rec in records if not rec.passes(tol)], tol)
 
 
 def _parity_record(alphas, betas, xi_support, eta_support, lhs: float,
@@ -282,10 +266,8 @@ def reduce_multiqubit(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ReductionRe
     Checks the sum of every output-touching Pauli word, at every n up to
     MAX_QUBITS. Each sum is 2^n (w_identity + w_target), read off the Pauli
     coefficients arranged as (input word, output word); a record is built
-    only for a violated sum, in row-major word order. Certifies W = W_1 (x) I
-    when no sum is violated, Tr(W) = 2^n, W >= 0 and the extracted W_1
-    (partial trace over the output factor, divided by 2^n) is a density
-    matrix.
+    only for a sum off by more than tol sqrt(2), in row-major word order;
+    ``_finish_report`` certifies.
     """
     n = _qubit_count(w)
     if n > MAX_QUBITS:
@@ -301,23 +283,19 @@ def reduce_multiqubit(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ReductionRe
         betas, eta_support = _word_bases(words[j])
         violations.append(_parity_record(alphas, betas, xi_support, eta_support,
                                          float(lhs[i, j]), float(c[i, j])))
-    violations.extend(_bookkeeping_records(w, n, tol))
-    return _finish_report(w, partial_trace_over_outputs(w) / 2**n, violations, tol)
+    return _finish_report(w, violations, tol)
 
 
 def projection_oracle(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ReductionReport:
     """Dimension-agnostic reduction check by orthogonal projection.
 
-    W_1 = Tr_out(W) / d_out; certifies iff the Frobenius residual
-    ||W - W_1 (x) I|| is within tol and W_1 is a density matrix. W_1 (x) I
-    is the orthogonal projection of W onto the operators X (x) I, which with
-    Tr X = 1 are exactly those meeting every normalization constraint, so
-    residual and trace stand in for the constraints ``validate`` evaluates.
+    W_1 (x) I, W_1 = Tr_out(W) / d_out, is the orthogonal projection L_V W
+    of W onto the operators X (x) I, which with Tr X = 1 are exactly those
+    meeting every normalization constraint; ``_finish_report`` certifies.
     """
     if len(w.spec.parties) != 1:
         raise DimensionMismatchError("projection_oracle needs a single party")
-    w1 = partial_trace_over_outputs(w) / w.spec.parties[0].d_out
-    return _finish_report(w, w1, [], tol)
+    return _finish_report(w, [], tol)
 
 
 def born_equivalence(w1: np.ndarray, f: KrausFamily, w: ProcessMatrix):

@@ -110,6 +110,7 @@ def test_emit_ocb_then_validate(tmp_path, capsys):
     assert code == 0
     assert report["status"] == "pass"
     assert report["results"]["trace_value"] == pytest.approx(4.0)
+    assert report["results"]["distance"] <= 1e-9
     assert report["results"]["violated_constraints"] == []
 
 
@@ -151,6 +152,22 @@ def test_reduce_invalid_file(capsys, invalid_pm_path):
     code, report = run(capsys, "reduce", invalid_pm_path)
     assert code == 1
     assert report["status"] == "fail"
+
+
+def test_trace_shift_is_rejected_by_validate_and_reduce(tmp_path, capsys):
+    # Residual and W1 trace deviation are 0.9 tol each; the distance to the
+    # valid set is 0.9 sqrt(2) tol, the one row that explains the rejection.
+    w = kron(random_density(2, 0), np.eye(2)) + 0.45e-9 * (np.eye(4) + kron(pauli("z"), pauli("z")))
+    path = str(tmp_path / "trace-shift.pm.json")
+    pmfile.save(path, single_party(2, 2, w))
+    code, report = run(capsys, "validate", path)
+    assert code == 1 and report["status"] == "fail"
+    assert report["results"]["distance"] == pytest.approx(0.9e-9 * np.sqrt(2), rel=1e-6)
+    assert report["results"]["violated_constraints"] == [["distance", report["results"]["distance"]]]
+    code, report = run(capsys, "reduce", path)
+    assert code == 1 and report["status"] == "fail"
+    for oracle in ("constructive", "projection"):
+        assert report["results"][oracle]["certified"] is False
 
 
 def test_reduce_single_qubit_lists_each_word_once(tmp_path, capsys):

@@ -174,6 +174,36 @@ def _certificates(w):
     return [report.certified for report in reports]
 
 
+def test_trace_shift_is_rejected_by_every_oracle():
+    # Residual ||W - W1 (x) I|| and Tr W1 - 1 are 0.9 tol each, so each alone
+    # is within tol, but W's distance to the valid set is 0.9 sqrt(2) tol.
+    shift = 0.45 * DEFAULT_TOL * (np.eye(4) + pauli_word("zz"))
+    w = single_party(2, 2, kron(random_density(2, 0), np.eye(2)) + shift)
+    report = validate(w)
+    assert report.distance == pytest.approx(0.9e-9 * np.sqrt(2), rel=1e-6)
+    assert not report.ok
+    assert report.violated_constraints == (("distance", report.distance),)
+    assert not any(_certificates(w))
+
+
+@pytest.mark.parametrize("block, lowest", [(0, -0.5), (1, -1.2)])
+def test_spectrum_of_w_decides_every_oracle(block, lowest):
+    # W1 = diag(1 + tol/2, -tol/2) is PSD within tol and W is 0.99 tol from the
+    # valid set. A Z on W's input block |0> leaves its lowest eigenvalue at
+    # -tol/2; on block |1> it moves it to -1.2 tol.
+    tol = DEFAULT_TOL
+    block_z = kron(np.diag(np.eye(2)[block]), pauli_word("z"))
+    w = single_party(2, 2, kron(np.diag([1 + tol / 2, -tol / 2]), np.eye(2)) + 0.7 * tol * block_z)
+    report = validate(w)
+    assert report.normalization_ok and report.min_eigenvalue == pytest.approx(lowest * tol)
+    projection = projection_oracle(w)
+    assert projection.w1_psd
+    rows = [(v.coefficient_label, v.lhs_value) for v in projection.violations]
+    assert rows == ([] if lowest >= -1 else [("min_eigenvalue", pytest.approx(lowest * tol))])
+    verdicts = _certificates(w) + [report.ok]
+    assert all(verdicts) if lowest >= -1 else not any(verdicts)
+
+
 def test_swap_perturbation_within_tol_is_certified_by_every_oracle():
     # 0.8 tol from rho (x) I in Frobenius norm; its reference-CJ residual
     # 0.8 tol sqrt(3) exceeds tol but not tol ||SWAP||_F = 2 tol.
@@ -190,17 +220,59 @@ def test_swap_perturbation_within_tol_is_certified_by_every_oracle():
        st.one_of(st.none(), SEEDS))
 def test_oracles_agree_at_the_tolerance_scale(n, seed, scale, direction_seed):
     # W = rho (x) I + scale * tol * R, R of unit Frobenius norm off the W1 (x) I
-    # subspace: within tol every oracle certifies, beyond it the reduction
-    # oracles reject, and a projection certificate always implies validity.
+    # subspace, so W is scale * tol from the valid set: within tol every
+    # oracle certifies, beyond it every oracle rejects.
     d = 2**n
     r = _swap_direction(d) if direction_seed is None else _random_direction(d, direction_seed)
     w = single_party(d, d, kron(random_density(d, seed), np.eye(d)) + scale * DEFAULT_TOL * r)
-    certificates = _certificates(w)
-    if scale <= 0.9:
-        assert all(certificates) and validate(w).ok
-    else:
-        assert not any(certificates)
-    assert validate(w).ok or not certificates[0]
+    verdicts = _certificates(w) + [validate(w).ok]
+    assert all(verdicts) if scale <= 0.9 else not any(verdicts)
+
+
+def _dephase(m, dims, k):
+    """Tr_k m (x) I_k / d_k, the identity back in factor k's place."""
+    n = len(dims)
+    reduced = np.trace(m.reshape(dims + dims), axis1=k, axis2=n + k) / dims[k]
+    t = np.moveaxis(np.multiply.outer(reduced, np.eye(dims[k])), (-2, -1), (k, n + k))
+    return t.reshape(m.shape)
+
+
+def _araujo_projector(m, spec):
+    """L_V m, L_V = 1 - (x)_i (1 - _{O_i} + _{I_i O_i}) + (x)_i _{I_i O_i} with
+    _X m = Tr_X m (x) I_X / d_X (Araujo et al., NJP 17, 102001), party by party."""
+    factors = spec.factor_dims
+    v = u = m
+    for k in range(1, len(factors), 2):  # party k // 2: input factor k - 1, output k
+        out = _dephase(v, factors, k)
+        v = v - out + _dephase(out, factors, k - 1)
+        u = _dephase(_dephase(u, factors, k), factors, k - 1)
+    return m - v + u
+
+
+SMALL_PARTY_DIMS = (
+    st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3)
+    .filter(lambda dims: np.prod([a * b for a, b in dims]) <= 64)
+)
+
+
+@PROPERTY
+@given(SMALL_PARTY_DIMS, SEEDS)
+def test_validate_distance_is_the_araujo_projector_distance(dims, seed):
+    spec = PartySpec(tuple(DimensionPair(a, b) for a, b in dims))
+    m, other = random_hermitian(spec.total_dim, seed), random_hermitian(spec.total_dim, seed + 1)
+    projected = _araujo_projector(m, spec)
+    assert np.max(np.abs(_araujo_projector(projected, spec) - projected)) <= 1e-12
+    assert abs(np.vdot(other, projected) - np.vdot(_araujo_projector(other, spec), m)) <= 1e-10
+    values, expected = normalization_values(ProcessMatrix(spec, projected))
+    assert np.max(np.abs(values[expected == 0]), initial=0.0) <= 1e-10
+
+    w = ProcessMatrix(spec, m)
+    trace_gap = np.trace(m).real - spec.d_out_product
+    want = np.hypot(np.linalg.norm(m - projected), trace_gap / np.sqrt(spec.total_dim))
+    distance = validate(w).distance
+    assert distance == pytest.approx(want, rel=1e-10, abs=1e-12)
+    if len(dims) == 1:
+        assert projection_oracle(w).residual == pytest.approx(distance, rel=1e-10, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2])

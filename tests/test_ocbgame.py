@@ -241,6 +241,27 @@ def test_causal_bound_matches_exhaustive_enumeration():
     )
 
 
+@pytest.mark.parametrize("order", ["A_before_B", "B_before_A"])
+def test_causal_bound_matches_the_one_way_no_signalling_lp(order):
+    # The best score over every normalized p(x, y | a, b, b') that lets no
+    # signal pass from the second party to the first (Branciard et al., NJP
+    # 18, 013008): shared randomness and unbounded one-way communication.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    x, y, a, b, b_prime = np.indices((2,) * 5)
+    score = np.where(b_prime == 0, x == b, y == a) / 8  # uniform a, b, b'
+    setting = 4 * a + 2 * b + b_prime
+    # The first party's outcome and input, and the second party's input.
+    out, inp, other = (x, a, 2 * b + b_prime) if order == "A_before_B" else (y, 2 * b + b_prime, a)
+    rows = [setting == s for s in range(8)] + [
+        ((out == o) & (inp == i) & (other == s)).astype(float) - ((out == o) & (inp == i) & (other == 0))
+        for o, i, s in itertools.product(np.unique(out), np.unique(inp), np.unique(other)[1:])
+    ]
+    result = linprog(-score.ravel(), A_eq=np.array([r.ravel() for r in rows], dtype=float),
+                     b_eq=[1.0] * 8 + [0.0] * (len(rows) - 8), bounds=(0, None), method="highs")
+    assert result.status == 0
+    assert -result.fun == pytest.approx(float(causal_bound_details().bound), abs=1e-9)
+
+
 def test_no_communication_bound():
     # With a trivial message alphabet neither output can correlate with the
     # other laboratory's input, so the enumerated maximum is 1/2.

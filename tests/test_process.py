@@ -21,7 +21,6 @@ from pmtool.process import (
     PartySpec,
     ProcessMatrix,
     normalization_constraints,
-    partial_trace_over_outputs,
     probability,
     single_party,
     trace_dimension_identity,
@@ -122,6 +121,17 @@ def test_validate_perturbed_fails_with_residual():
     assert report.trace_ok and report.psd_ok
 
 
+def test_validate_non_psd_rejection_is_labelled():
+    # W1 (x) I with W1 of unit trace but a negative eigenvalue: at distance 0
+    # from the valid set, rejected by the spectrum alone.
+    w1 = np.diag([1.1, -0.1])
+    report = validate(rho_tensor_identity(w1))
+    assert report.distance <= 1e-12 and report.normalization_ok
+    assert not report.ok and not report.psd_ok
+    assert report.violated_constraints == (("min_eigenvalue", report.min_eigenvalue),)
+    assert report.min_eigenvalue == pytest.approx(-0.1)
+
+
 def test_validate_maximally_entangled_fails():
     # A maximally entangled W (trace rescaled to 2) would act as a closed
     # time-like curve; it must not validate.
@@ -179,12 +189,6 @@ def test_trace_dimension_identity_rejects_multi_party():
 
     with pytest.raises(DimensionMismatchError):
         trace_dimension_identity(build_w_ocb())
-
-
-def test_partial_trace_over_outputs():
-    rho = random_density(3, 8)
-    w = rho_tensor_identity(rho)
-    assert np.allclose(partial_trace_over_outputs(w), 3 * rho, atol=1e-13)
 
 
 def test_validate_matches_reduction_certification():
