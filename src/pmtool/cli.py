@@ -190,10 +190,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
     except (pmfile.PMFileError, OSError, DimensionMismatchError,
             NonHermitianError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except FloatingPointError as exc:  # an inf or nan in a report is not standard JSON
+        print(f"error: matrix entries too large to evaluate ({exc})", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

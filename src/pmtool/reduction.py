@@ -7,11 +7,11 @@ independent procedures establish this:
 * the constructive route — constraint sums that force every coefficient
   with output-side Pauli content to zero (single-qubit case and its n-qubit
   parity-subset generalization). Each sum equals 2^n (w_identity + w_target)
-  for the Pauli coefficient w_target it pins, so ``reduce_multiqubit`` reads
-  every sum off one Pauli transform of W; ``constraint_sum_single`` and
-  ``appendix_constraint_sum`` keep the instrument-level form, sums of
-  <v|W|v> over the product eigenvectors of the bases one instrument
-  measures and prepares, as the reference;
+  for the Pauli coefficient w_target it pins, so ``reduce_single_qubit`` and
+  ``reduce_multiqubit`` read every sum off one Pauli transform of W;
+  ``constraint_sum_single`` and ``appendix_constraint_sum`` keep the
+  instrument-level form, sums of <v|W|v> over the product eigenvectors of
+  the bases one instrument measures and prepares, as the reference;
 * a projection oracle — W_1 = Tr_out W / d_out, valid in any dimension.
 
 All three certify by ``process.validate``'s rule, in ``_finish_report``: for
@@ -58,9 +58,6 @@ class ConstraintRecord:
     expected: float
     coefficient_label: str
     coefficient_value: float
-
-    def passes(self, tol: float) -> bool:
-        return abs(self.lhs_value - self.expected) <= tol * SUM_PROBE_NORM
 
 
 @dataclass(frozen=True)
@@ -135,6 +132,13 @@ def _parity_sum(w: ProcessMatrix, bases, xi_support, eta_support) -> float:
     return float(t[parity == 0].sum()) / 2 ** (n - 1)
 
 
+def _single_record(alpha: str, beta: str, m_rule: str, lhs: float) -> ConstraintRecord:
+    """The record of one single-qubit sum, labelled by the coefficient it pins."""
+    label = f"w_{alpha}{beta}" if m_rule == "m=s" else f"w_1{beta}"
+    return ConstraintRecord(f"alpha={alpha}, beta={beta}, rule {m_rule}", lhs, 1.0, label,
+                            (lhs - 1.0) / 2)
+
+
 def constraint_sum_single(
     w: ProcessMatrix, alpha: str, beta: str, m_rule: str
 ) -> ConstraintRecord:
@@ -153,15 +157,7 @@ def constraint_sum_single(
     if _qubit_count(w) != 1:
         raise DimensionMismatchError("constraint_sum_single needs one qubit in/out")
     xi_support = [0] if m_rule == "m=s" else []
-    lhs = _parity_sum(w, alpha + beta, xi_support, [0])
-    label = f"w_{alpha}{beta}" if m_rule == "m=s" else f"w_1{beta}"
-    return ConstraintRecord(
-        description=f"alpha={alpha}, beta={beta}, rule {m_rule}",
-        lhs_value=lhs,
-        expected=1.0,
-        coefficient_label=label,
-        coefficient_value=(lhs - 1.0) / 2,
-    )
+    return _single_record(alpha, beta, m_rule, _parity_sum(w, alpha + beta, xi_support, [0]))
 
 
 def _finish_report(w: ProcessMatrix, violations, tol: float) -> ReductionReport:
@@ -196,14 +192,18 @@ def _finish_report(w: ProcessMatrix, violations, tol: float) -> ReductionReport:
 def reduce_single_qubit(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ReductionReport:
     """Constructive single-qubit reduction via the 18 constraint sums.
 
-    Runs both rules on all nine (alpha, beta) pairs and records each sum off
-    by more than tol sqrt(2); ``_finish_report`` certifies.
+    Each is read off one Pauli transform: 2 (w_11 + w_{alpha,beta}) under the
+    rule m=s, 2 (w_11 + w_{1,beta}) under m=0. Sums off by more than tol sqrt(2)
+    are recorded in (alpha, beta, rule) order; ``_finish_report`` certifies.
     """
     if _qubit_count(w) != 1:
         raise DimensionMismatchError("reduce_single_qubit needs one qubit in/out")
-    records = (constraint_sum_single(w, alpha, beta, rule)
-               for alpha in "xyz" for beta in "xyz" for rule in ("m=s", "m=0"))
-    return _finish_report(w, [rec for rec in records if not rec.passes(tol)], tol)
+    c = _pauli_coefficients(w).real
+    lhs, i = 2 * (c[0, 0] + c), "1xyz".index
+    rows = ((alpha, beta, rule, float(lhs[i(alpha) if rule == "m=s" else 0, i(beta)]))
+            for alpha, beta, rule in itertools.product("xyz", "xyz", ("m=s", "m=0")))
+    return _finish_report(w, [_single_record(*row) for row in rows
+                              if abs(row[3] - 1.0) > tol * SUM_PROBE_NORM], tol)
 
 
 def _parity_record(alphas, betas, xi_support, eta_support, lhs: float,

@@ -333,6 +333,39 @@ def test_oversized_numbers_are_file_errors(tmp_path, capsys, fields):
     _assert_file_error(capsys, path)
 
 
+OVERFLOWING_DOCS = {
+    # finite entries whose norms' sums of squares overflow
+    "qubit-1e200": pmfile.serialize(single_party(2, 2, np.full((4, 4), 1e200 + 0j))),
+    # a finite entry whose W - W^dagger overflows
+    "scalar-1e308": _scalar_doc(entry="1e308").replace("0]]", "1e308]]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_DOCS))
+def test_overflowing_entries_are_file_errors(tmp_path, capsys, name):
+    path = tmp_path / "overflow.pm.json"
+    path.write_text(OVERFLOWING_DOCS[name])
+    for command in ("validate", "reduce", "decompose"):
+        code = main([command, str(path)])
+        captured = capsys.readouterr()
+        if command == "decompose" and code != 2:  # the Pauli transform may not overflow
+            json.loads(captured.out, parse_constant=_reject_constant)
+            continue
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+def test_large_finite_entries_get_a_finite_report(tmp_path, capsys):
+    path = tmp_path / "large.pm.json"
+    path.write_text(_scalar_doc(entry="1e200"))
+    for command in ("validate", "reduce"):
+        code = main([command, str(path)])
+        report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert code == 1
+        assert report["status"] == "fail"
+
+
 def test_deep_nesting_is_file_error(tmp_path, capsys):
     path = tmp_path / "deep.pm.json"
     path.write_text(_scalar_doc(entry="[" * 100_000 + "]" * 100_000))

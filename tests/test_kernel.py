@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from pmtool.linalg import (
     DEFAULT_TOL,
+    DimensionMismatchError,
     DimensionPair,
     NonHermitianError,
     kron,
@@ -38,6 +39,7 @@ from pmtool.process import (
 )
 from pmtool.reduction import (
     appendix_constraint_sum,
+    constraint_sum_single,
     pauli_coefficient,
     pauli_decompose,
     projection_oracle,
@@ -133,6 +135,37 @@ def test_reduce_multiqubit_records_match_appendix_sums(n, seed, data):
         assert rec.coefficient_label == want.coefficient_label
         assert abs(rec.lhs_value - want.lhs_value) <= 1e-12
         assert abs(rec.coefficient_value - want.coefficient_value) <= 1e-12
+
+
+SINGLE_ROWS = list(itertools.product("xyz", "xyz", ("m=s", "m=0")))
+
+
+@PROPERTY
+@given(SEEDS, st.sampled_from(list(itertools.product("1xyz", repeat=2))),
+       st.sampled_from([1e-12, -3.5e-10, 1.5e-9, -1e-6, 1e-3]))
+def test_reduce_single_qubit_records_match_constraint_sums(seed, word, eps):
+    # A random Hermitian W violates all 18 sums, in (alpha, beta, rule) order.
+    w = single_party(2, 2, random_hermitian(4, seed))
+    records = [v for v in reduce_single_qubit(w).violations
+               if v.coefficient_label.startswith("w_")]
+    assert len(records) == len(SINGLE_ROWS)
+    for rec, row in zip(records, SINGLE_ROWS):
+        want = constraint_sum_single(w, *row)
+        assert rec.description == want.description
+        assert rec.coefficient_label == want.coefficient_label
+        assert abs(rec.lhs_value - want.lhs_value) <= 1e-12
+        assert abs(rec.coefficient_value - want.coefficient_value) <= 1e-12
+    # Off the valid set by eps sigma-word, 2 |eps| away from tol sqrt(2) by a
+    # factor of 2 or more, exactly the rows whose reference sum is off are listed.
+    w = single_party(2, 2, kron(random_density(2, seed), np.eye(2)) + eps * pauli_word(word))
+    listed = [v.description for v in reduce_single_qubit(w).violations
+              if v.coefficient_label.startswith("w_")]
+    off = [want.description for want in (constraint_sum_single(w, *row) for row in SINGLE_ROWS)
+           if abs(want.lhs_value - 1.0) > DEFAULT_TOL * np.sqrt(2)]
+    assert listed == off
+    for d in (4, 3):
+        with pytest.raises(DimensionMismatchError):
+            reduce_single_qubit(single_party(d, d, np.eye(d * d) / d))
 
 
 def test_256_by_256_inputs_finish():
