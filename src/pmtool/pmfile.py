@@ -9,8 +9,9 @@ validation is a separate command.
 
 from __future__ import annotations
 
-import cmath
+import contextlib
 import json
+import math
 
 import numpy as np
 
@@ -24,7 +25,7 @@ class PMFileError(ValueError):
 
 def matrix_entries(m: np.ndarray) -> list:
     """The [re, im] pairs of a complex matrix's entries, row-major."""
-    return [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+    return np.stack([m.real, m.imag], -1).reshape(-1, 2).tolist()
 
 
 def serialize(w: ProcessMatrix, label: str = None) -> str:
@@ -84,19 +85,27 @@ def parse(text: str) -> ProcessMatrix:
         raise PMFileError(f"expected {rows * cols} entries, got "
                           f"{len(entries) if isinstance(entries, list) else 'non-list'}")
 
-    values = np.empty(rows * cols, dtype=complex)
-    try:
-        for i, entry in enumerate(entries):
-            # JSON gives exactly int, float or bool; a bool is not a number here
-            if not (isinstance(entry, list) and len(entry) == 2
-                    and all(type(v) in (int, float) for v in entry)):
-                raise PMFileError(f"entry {i} must be a [re, im] number pair")
-            values[i] = z = complex(*entry)
-            if not cmath.isfinite(z):
-                raise OverflowError
-    except OverflowError:  # not finite, or an integer too large for a float
-        raise PMFileError(f"entry {i} is not finite") from None
-    return ProcessMatrix(spec, values.reshape(rows, cols))
+    values = None
+    # JSON gives exactly int, float or bool; a bool is not a number here
+    if (set(map(type, entries)) == {list} and set(map(len, entries)) == {2}
+            and {type(v) for e in entries for v in e} <= {int, float}):
+        with contextlib.suppress(OverflowError):  # an integer too large for a float
+            values = np.array(entries, dtype=float)
+    if values is None or not np.isfinite(values).all():
+        raise _entry_error(entries)
+    return ProcessMatrix(spec, values.view(complex).reshape(rows, cols))  # keeps -0.0
+
+
+def _entry_error(entries) -> PMFileError:
+    """The error naming the first entry that is not a finite [re, im] number pair."""
+    for i, entry in enumerate(entries):
+        if not (type(entry) is list and len(entry) == 2
+                and {type(v) for v in entry} <= {int, float}):
+            return PMFileError(f"entry {i} must be a [re, im] number pair")
+        with contextlib.suppress(OverflowError):
+            if all(map(math.isfinite, entry)):
+                continue
+        return PMFileError(f"entry {i} is not finite")
 
 
 def load(path) -> ProcessMatrix:

@@ -277,21 +277,12 @@ def validate(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityReport:
 
 
 def trace_dimension_identity(w: ProcessMatrix) -> float:
-    """Probability sum over the flatten-and-reprepare Kraus family.
-
-    Uses the instrument with Kraus operators E_{j,k} = |j><k| / sqrt(d_out)
-    over all j, k; for any Hermitian W the sum equals Tr(W)/d_out, and it
-    equals 1 exactly when Tr(W) = d_out.
-    """
+    """Probability sum over the instrument with branches E_{j,k} = |j><k| / sqrt(d_out),
+    all j, k: one probability of their joint CP map. For any Hermitian W it equals
+    Tr(W)/d_out, which is 1 exactly when Tr(W) = d_out."""
     if len(w.spec.parties) != 1:
         raise DimensionMismatchError("trace_dimension_identity needs a single party")
     dims = w.spec.parties[0]
-    total = 0.0
-    for j in range(dims.d_out):
-        for k in range(dims.d_in):
-            op = np.zeros((dims.d_out, dims.d_in), dtype=complex)
-            op[j, k] = 1 / np.sqrt(dims.d_out)
-            cj = cj_of_kraus(KrausFamily(dims, (op,)))
-            total += probability(w, [cj])
-    return total
+    ops = np.eye(dims.total).reshape(-1, dims.d_out, dims.d_in) / np.sqrt(dims.d_out)
+    return probability(w, [cj_of_kraus(KrausFamily(dims, ops))])
 

@@ -1,24 +1,21 @@
 """Single-party reduction of process matrices to density operators.
 
 For one laboratory the framework collapses to ordinary quantum theory:
-every valid W factors as W_1 (x) I with W_1 a density matrix. Two
-independent procedures establish this:
-
-* the constructive route — constraint sums that force every coefficient
-  with output-side Pauli content to zero (single-qubit case and its n-qubit
-  parity-subset generalization). Each sum equals 2^n (w_identity + w_target)
-  for the Pauli coefficient w_target it pins, so ``reduce_single_qubit`` and
-  ``reduce_multiqubit`` read every sum off one Pauli transform of W;
-  ``constraint_sum_single`` and ``appendix_constraint_sum`` keep the
-  instrument-level form, sums of <v|W|v> over the product eigenvectors of
-  the bases one instrument measures and prepares, as the reference;
-* a projection oracle — W_1 = Tr_out W / d_out, valid in any dimension.
-
-All three certify by ``process.validate``'s rule, in ``_finish_report``: for
-one party L_V W = W_1 (x) I, so the distance to the valid set is
-hypot(||W - W_1 (x) I||, (Tr W_1 - 1) sqrt(d_out / d_in)). The constraint
-sums only label a rejection. ``born_equivalence`` closes the loop by
-checking the trace rule against the standard Kraus-form Born rule.
+every valid W factors as W_1 (x) I with W_1 a density matrix. One certifier,
+``_finish_report``, decides this by ``process.validate``'s rule: for one
+party L_V W = W_1 (x) I with W_1 = Tr_out W / d_out, so the distance to the
+valid set is hypot(||W - W_1 (x) I||, (Tr W_1 - 1) sqrt(d_out / d_in)).
+``projection_oracle`` applies it to any single party. The constructive
+reductions add constraint sums, which only label a rejection: they force
+every coefficient with output-side Pauli content to zero (single-qubit case
+and its n-qubit parity-subset generalization). Each sum equals
+2^n (w_identity + w_target) for the Pauli coefficient w_target it pins, so
+``reduce_single_qubit`` and ``reduce_multiqubit`` read every sum off one
+Pauli transform of W; ``constraint_sum_single`` and
+``appendix_constraint_sum`` keep the instrument-level form, sums of <v|W|v>
+over the product eigenvectors of the bases one instrument measures and
+prepares, as the reference. ``born_equivalence`` closes the loop by checking
+the trace rule against the standard Kraus-form Born rule.
 """
 
 from __future__ import annotations
@@ -294,7 +291,7 @@ def projection_oracle(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ReductionRe
     meeting every normalization constraint; ``_finish_report`` certifies.
     """
     if len(w.spec.parties) != 1:
-        raise DimensionMismatchError("projection_oracle needs a single party")
+        raise DimensionMismatchError("reduction operates on single-party W")
     return _finish_report(w, [], tol)
 
 

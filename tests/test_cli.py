@@ -1,9 +1,11 @@
 import json
+import pathlib
+import shlex
 
 import numpy as np
 import pytest
 
-from pmtool import pmfile
+from pmtool import pmfile, reduction
 from pmtool.cli import build_parser, main
 from pmtool.linalg import kron, pauli, random_density
 from pmtool.ocbgame import build_w_ocb
@@ -142,10 +144,31 @@ def test_reduce_valid_file(capsys, valid_pm_path):
         assert report["results"][oracle]["w1"] is not None
 
 
-def test_reduce_single_oracle_flag(capsys, valid_pm_path):
-    code, report = run(capsys, "reduce", valid_pm_path, "--oracle", "projection")
+def test_reduce_oracles_follow_the_file(tmp_path, monkeypatch, capsys, valid_pm_path):
+    # the constructive sums take only a few qubits in and out; every single
+    # party gets the projection oracle's certificate
+    code, report = run(capsys, "reduce", valid_pm_path)
     assert code == 0
-    assert list(report["results"]) == ["projection"]
+    assert list(report["results"]) == ["constructive", "projection"]
+    for d_in, d_out in ((3, 3), (2, 3), (4, 2)):
+        w = kron(random_density(d_in, 0), np.eye(d_out))
+        touch = 1e-3 * kron(np.eye(d_in), np.diag([1.0, -1.0] + [0.0] * (d_out - 2)))
+        for m, expected in ((w, 0), (w + touch, 1)):
+            path = str(tmp_path / f"{d_in}-{d_out}.pm.json")
+            pmfile.save(path, single_party(d_in, d_out, m))
+            code, report = run(capsys, "reduce", path)
+            assert code == expected and report["status"] == ("pass", "fail")[expected]
+            assert list(report["results"]) == ["projection"]
+            assert report["results"]["projection"]["certified"] is (expected == 0)
+            assert report["inputs"] == {"file": path}
+    # above MAX_QUBITS the constructive oracle declines and the projection decides
+    monkeypatch.setattr(reduction, "MAX_QUBITS", 0)
+    code, report = run(capsys, "reduce", valid_pm_path)
+    assert code == 0 and list(report["results"]) == ["projection"]
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", valid_pm_path, "--oracle", "projection"])
+    assert exc.value.code == 2
+    assert "--oracle" in capsys.readouterr().err
 
 
 def test_reduce_invalid_file(capsys, invalid_pm_path):
@@ -174,10 +197,31 @@ def test_reduce_single_qubit_lists_each_word_once(tmp_path, capsys):
     w = kron(random_density(2, 0), np.eye(2)) + 0.05 * kron(np.eye(2), pauli("z"))
     path = str(tmp_path / "perturbed.pm.json")
     pmfile.save(path, single_party(2, 2, w))
-    code, report = run(capsys, "reduce", path, "--oracle", "constructive")
+    code, report = run(capsys, "reduce", path)
     assert code == 1
     labels = [v["coefficient"] for v in report["results"]["constructive"]["violations"]]
     assert labels.count("w_1,z") == 1
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_cli_lines():
+    """The commands of the ``sh`` block under README's ``## CLI`` heading."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+
+
+def test_readme_cli_examples_run(tmp_path, capsys, valid_pm_path):
+    files = {"wocb.pm.json": str(tmp_path / "wocb.pm.json"), "some.pm.json": valid_pm_path}
+    lines = _readme_cli_lines()
+    assert lines and all(argv[0] == "pmtool" for argv in lines)
+    for argv in lines:
+        code = main([files.get(arg, arg) for arg in argv[1:]])
+        out = capsys.readouterr().out
+        assert code == 0, argv
+        json.loads(out, parse_constant=_reject_constant)
 
 
 def test_ocb_game_report(capsys):
@@ -237,10 +281,10 @@ def test_repeated_main_calls_share_no_options(capsys, valid_pm_path):
     assert report["tolerances"]["tol"] == 1e-3
     _, report = run(capsys, "validate", valid_pm_path)
     assert report["tolerances"]["tol"] == 1e-9
-    _, report = run(capsys, "reduce", valid_pm_path, "--oracle", "projection")
-    assert report["inputs"]["oracle"] == "projection"
+    _, report = run(capsys, "reduce", valid_pm_path, "--tol", "1e-3")
+    assert report["tolerances"]["tol"] == 1e-3
     _, report = run(capsys, "reduce", valid_pm_path)
-    assert report["inputs"]["oracle"] == "both"
+    assert report["tolerances"]["tol"] == 1e-9
     assert set(report["results"]) == {"constructive", "projection"}
     _, pretty = run(capsys, "ocb-game", "--pretty")
     assert pretty.startswith("command: ocb-game")
@@ -385,6 +429,55 @@ def test_header_fields_must_be_integers(tmp_path, capsys, fields):
     path = tmp_path / "header.pm.json"
     path.write_text(_scalar_doc(**fields))
     _assert_file_error(capsys, path)
+
+
+MALFORMED_ENTRIES = {
+    "[true, 0]": "must be a [re, im] number pair",
+    '["1", 0]': "must be a [re, im] number pair",
+    "[1]": "must be a [re, im] number pair",
+    "[1, 0, 0]": "must be a [re, im] number pair",
+    "[[1], 0]": "must be a [re, im] number pair",
+    "1": "must be a [re, im] number pair",
+    "null": "must be a [re, im] number pair",
+    '{"re": 1}': "must be a [re, im] number pair",
+    "[NaN, 0]": "is not finite",
+    "[Infinity, 0]": "is not finite",
+    "[0, -Infinity]": "is not finite",
+    "[1e999, 0]": "is not finite",
+}
+
+
+@pytest.mark.parametrize("entry", list(MALFORMED_ENTRIES))
+def test_malformed_entries_are_file_errors(tmp_path, capsys, entry):
+    text = _scalar_doc().replace("[[1, 0]]", f"[{entry}]")
+    with pytest.raises(pmfile.PMFileError) as exc:
+        pmfile.parse(text)
+    assert str(exc.value) == f"entry 0 {MALFORMED_ENTRIES[entry]}"
+    path = tmp_path / "entry.pm.json"
+    path.write_text(text)
+    _assert_file_error(capsys, path)
+
+
+@pytest.mark.parametrize("entries, message", [
+    ("[0, 0], [1e999, 0], [true, 0], [0, 0]", "entry 1 is not finite"),
+    ("[0, 0], [0, 0], [1, 0, 0], [NaN, 0]", "entry 2 must be a [re, im] number pair"),
+    ("[0, 0], [0, 0], [0, 0], [%s, 0]" % ("9" * 400), "entry 3 is not finite"),
+])
+def test_parse_names_the_first_bad_entry(entries, message):
+    text = _scalar_doc(d_out="2", rows="2", cols="2").replace("[[1, 0]]", f"[{entries}]")
+    with pytest.raises(pmfile.PMFileError) as exc:
+        pmfile.parse(text)
+    assert str(exc.value) == message
+
+
+def test_parse_round_trip_keeps_signed_zeros():
+    m = np.array([[-0.0 + 0j, complex(0.0, -0.0)], [complex(-0.0, -0.0), 1e-300 - 2.5j]])
+    text = pmfile.serialize(single_party(1, 2, m))
+    assert "-0.0" in text
+    again = pmfile.parse(text)
+    assert np.array_equal(np.signbit(again.matrix.real), np.signbit(m.real))
+    assert np.array_equal(np.signbit(again.matrix.imag), np.signbit(m.imag))
+    assert pmfile.serialize(again) == text
 
 
 def test_directory_is_file_error(tmp_path, capsys):
