@@ -13,6 +13,7 @@ or on an eigenvalue allows tol.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -88,20 +89,21 @@ def product_expectations(matrix: np.ndarray, stacks) -> np.ndarray:
     """Tr[W (S_1[a_1] (x) ... (x) S_n[a_n])] for every index tuple (a_1..a_n).
 
     ``stacks[k]`` has shape (m_k, d_k, d_k) and acts on tensor factor k of W
-    (left factor first); the result has shape (m_1, ..., m_n). W is
-    contracted one factor at a time, so no product operator is ever built.
+    (left factor first); the result has shape (m_1, ..., m_n). No product
+    operator is built: W is permuted once to (c_1, r_1, ..., c_n, r_n), as
+    Tr[W S] = sum_{c,r} W[r, c] S[c, r], and each factor is one matmul
+    (rest, d_k^2) @ (d_k^2, m_k) whose result has the next factor leading.
     """
     dims = [s.shape[-1] for s in stacks]
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (total, total):
         raise DimensionMismatchError(f"matrix shape {m.shape} does not match factor dims {dims}")
-    t = m.reshape(dims + dims)
-    for k, s in enumerate(stacks):
-        # Axis 0 is factor k's row, axis n - k its column; the new index
-        # goes last, so the finished tensor is ordered (a_1, ..., a_n).
-        t = np.tensordot(t, s, axes=([0, len(dims) - k], [2, 1]))
-    return t
+    n = len(dims)
+    t = m.reshape(dims + dims).transpose([a for k in range(n) for a in (n + k, k)])
+    for s, d in zip(stacks, dims):
+        t = t.reshape(d * d, -1).T @ s.reshape(len(s), d * d).T
+    return t.reshape([len(s) for s in stacks])
 
 
 def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:

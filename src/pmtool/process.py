@@ -209,12 +209,12 @@ def _off_valid_mask(spec: PartySpec) -> np.ndarray:
 
 def _constraint_values(spec: PartySpec, t: np.ndarray) -> np.ndarray:
     """Tr[W C] for every constraint C in ``normalization_constraints`` order, from
-    W's product-basis coefficients t: a party's directions are a slice of its two
-    axes, its reference CJ one tensordot with ``_reference_coefficients``."""
+    W's product-basis coefficients t: with a party's two axes leading, its reference
+    CJ is one matmul with ``_reference_coefficients``, its directions the slice [:, 1:]."""
     for dims in spec.parties:
-        ref = np.tensordot(t, _reference_coefficients(dims), axes=([0, 1], [0, 1]))
-        directions = np.moveaxis(t[:, 1:], (0, 1), (-2, -1)).reshape(ref.shape + (-1,))
-        t = np.concatenate([ref[..., None], directions], axis=-1)
+        t = t.reshape(dims.d_in**2, dims.d_out**2, -1)
+        ref = _reference_coefficients(dims).reshape(1, -1) @ t.reshape(dims.total**2, -1)
+        t = np.concatenate([ref, t[:, 1:].reshape(-1, ref.shape[1])]).T  # next party leads
     return t.reshape(-1)
 
 
@@ -228,13 +228,28 @@ def normalization_values(w: ProcessMatrix):
     return values, expected
 
 
+@lru_cache(maxsize=None)
+def _party_labels(spec: PartySpec) -> tuple:
+    """Per party, an object array of the labels of its constraint factors, ref first."""
+    labels = []
+    for i, p in enumerate(spec.parties):
+        directions = (f"P{i}:dir{k}" for k in range(p.d_in**2 * (p.d_out**2 - 1)))
+        labels.append(np.array([f"P{i}:ref", *directions], dtype=object))
+    return tuple(labels)
+
+
+def _constraint_labels(spec: PartySpec, indices) -> list:
+    """Labels of the constraints ``indices`` in ``normalization_constraints(spec)``."""
+    if len(indices) == 0:  # a certified W builds no label arrays
+        return []
+    labels = _party_labels(spec)
+    factors = np.unravel_index(indices, [len(party) for party in labels])
+    return ["|".join(row) for row in zip(*(party[k] for party, k in zip(labels, factors)))]
+
+
 def constraint_label(spec: PartySpec, index: int) -> str:
     """Label of constraint ``index`` in ``normalization_constraints(spec)``."""
-    shape = [1 + p.d_in**2 * (p.d_out**2 - 1) for p in spec.parties]
-    return "|".join(
-        f"P{i}:dir{k - 1}" if k else f"P{i}:ref"
-        for i, k in enumerate(np.unravel_index(index, shape))
-    )
+    return _constraint_labels(spec, [index])[0]
 
 
 def validate(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityReport:
@@ -266,9 +281,8 @@ def validate(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityReport:
     values = _constraint_values(w.spec, t)
     values[0] -= 1.0  # the reference constraint expects 1, every direction 0
     residuals = np.abs(values)
-    over = residuals > tol * _constraint_norms(w.spec)
-    for index in np.flatnonzero(over):
-        violated.append((constraint_label(w.spec, index), float(residuals[index])))
+    over = np.flatnonzero(residuals > tol * _constraint_norms(w.spec))
+    violated += zip(_constraint_labels(w.spec, over), residuals[over].tolist())
 
     return ValidityReport(psd_ok=mineig >= -tol, min_eigenvalue=mineig,
                           normalization_ok=distance <= tol, distance=distance,

@@ -257,14 +257,13 @@ def _word_bases(word):
     return tuple("x" if p == "1" else p for p in word), support
 
 
-def reduce_multiqubit(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ReductionReport:
-    """n-qubit constructive reduction via parity-subset constraint sums.
+def parity_sum_violations(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> list:
+    """The records ``reduce_multiqubit`` lists before the certifier's rows.
 
     Checks the sum of every output-touching Pauli word, at every n up to
     MAX_QUBITS. Each sum is 2^n (w_identity + w_target), read off the Pauli
     coefficients arranged as (input word, output word); a record is built
-    only for a sum off by more than tol sqrt(2), in row-major word order;
-    ``_finish_report`` certifies.
+    only for a sum off by more than tol sqrt(2), in row-major word order.
     """
     n = _qubit_count(w)
     if n > MAX_QUBITS:
@@ -280,7 +279,13 @@ def reduce_multiqubit(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ReductionRe
         betas, eta_support = _word_bases(words[j])
         violations.append(_parity_record(alphas, betas, xi_support, eta_support,
                                          float(lhs[i, j]), float(c[i, j])))
-    return _finish_report(w, violations, tol)
+    return violations
+
+
+def reduce_multiqubit(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ReductionReport:
+    """n-qubit constructive reduction: ``projection_oracle``'s report, as
+    ``_finish_report`` certifies, with the ``parity_sum_violations`` records first."""
+    return _finish_report(w, parity_sum_violations(w, tol), tol)
 
 
 def projection_oracle(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ReductionReport:

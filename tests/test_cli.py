@@ -203,6 +203,34 @@ def test_reduce_single_qubit_lists_each_word_once(tmp_path, capsys):
     assert labels.count("w_1,z") == 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_reduce_certifies_once(tmp_path, monkeypatch, capsys, n):
+    """``pmtool reduce`` runs the certifier once, yet its constructive block is
+    still ``reduce_multiqubit``'s report (sum rows, then the certifier's) and its
+    projection block ``projection_oracle``'s."""
+    d = 2**n
+    m = kron(random_density(d, n), np.eye(d)) + 1e-3 * kron(np.eye(d), np.diag(range(d)))
+    m[0, 1] += 1e-3  # not Hermitian either, so the certifier adds a row
+    w = single_party(d, d, m)
+    path = str(tmp_path / "w.pm.json")
+    pmfile.save(path, w)
+    calls = []
+    finish = reduction._finish_report
+    monkeypatch.setattr(reduction, "_finish_report", lambda *a: calls.append(a) or finish(*a))
+    code, report = run(capsys, "reduce", path)
+    assert code == 1 and len(calls) == 1
+    for name, want in (("constructive", reduction.reduce_multiqubit(w)),
+                       ("projection", reduction.projection_oracle(w))):
+        got = report["results"][name]
+        assert (got["certified"], got["residual"], got["w1_trace"]) == (
+            want.certified, want.residual, want.w1_trace)
+        assert [(v["description"], v["lhs_value"], v["coefficient"], v["coefficient_value"])
+                for v in got["violations"]] == [
+            (v.description, v.lhs_value, v.coefficient_label, v.coefficient_value)
+            for v in want.violations]
+    assert report["results"]["constructive"]["violations"][-1]["coefficient"] == "hermiticity"
+
+
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 

@@ -7,6 +7,7 @@ example database keep every run on the same examples.
 
 import itertools
 import json
+import math
 import re
 import time
 
@@ -34,6 +35,7 @@ from pmtool.process import (
     constraint_label,
     normalization_constraints,
     normalization_values,
+    reference_cptp_cj,
     single_party,
     validate,
 )
@@ -64,14 +66,40 @@ PARTY_DIMS = (
 
 
 def test_product_expectations_matches_kron():
-    stacks = [np.stack([random_hermitian(d, 10 * d + k) for k in range(m)])
-              for d, m in ((2, 3), (3, 2), (2, 4))]
-    w = random_hermitian(12, 0) + 0.3j * random_hermitian(12, 1)
-    values = product_expectations(w, stacks)
-    assert values.shape == (3, 2, 4)
-    for index in itertools.product(*(range(len(s)) for s in stacks)):
-        op = kron_all(s[a] for s, a in zip(stacks, index))
-        assert abs(values[index] - np.trace(w @ op)) <= 1e-13
+    """Each entry is Tr[W (S_1[a_1] (x) ... (x) S_n[a_n])] with the product built by
+    ``kron_all``: 1-6 factors, factor dimension 1, one-element stacks, Hermitian and
+    complex non-Hermitian stacks, and W contiguous, transposed or in Fortran order.
+    W and every stack element have unit Frobenius norm, so each entry is at most 1."""
+    rng = np.random.default_rng(0)
+
+    def unit(m):
+        return m / np.linalg.norm(m, axis=(-2, -1), keepdims=True)
+
+    def complex_normal(*shape):
+        return unit(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    cases = (  # (d_k, m_k) for each factor
+        ((2, 3), (3, 2), (2, 4)),
+        ((1, 1),),
+        ((3, 1),),
+        ((1, 2), (2, 1), (1, 3)),
+        ((2, 1), (1, 1), (3, 2), (1, 1)),
+        ((2, 2), (1, 3), (2, 1), (2, 2), (1, 1)),
+        ((2, 2),) * 6,
+    )
+    for seed, case in enumerate(cases):
+        total = math.prod(d for d, _ in case)
+        w = complex_normal(total, total)
+        hermitian = [unit(np.stack([random_hermitian(d, 10 * seed + k) for k in range(m)]))
+                     for d, m in case]
+        general = [complex_normal(m, d, d) for d, m in case]
+        for stacks in (hermitian, general):
+            for matrix in (w, w.T, np.asfortranarray(w)):
+                values = product_expectations(matrix, stacks)
+                assert values.shape == tuple(m for _, m in case)
+                for index in itertools.product(*(range(m) for _, m in case)):
+                    op = kron_all(s[a] for s, a in zip(stacks, index))
+                    assert abs(values[index] - np.trace(matrix @ op)) <= 1e-13
 
 
 @PROPERTY
@@ -86,6 +114,30 @@ def test_constraint_values_match_materialised_constraints(dims, seed):
         assert constraint_label(spec, index) == label
         assert expected[index] == want
         assert abs(values[index] - np.trace(w.matrix @ matrix)) <= 1e-12
+
+
+@pytest.mark.parametrize("dims", [((2, 2),), ((2, 3), (3, 2)), ((1, 2), (2, 1)), ((2, 2),) * 3])
+def test_validate_labels_each_violated_constraint_in_index_order(dims):
+    """validate's constraint rows are, in order, (constraint_label(spec, i), residual_i)
+    for every i with residual_i > tol ||C_i||_F, both on a random W and on a valid W
+    moved by tol times a random Hermitian, which meets some constraints and breaks others."""
+    spec = PartySpec(tuple(DimensionPair(a, b) for a, b in dims))
+    norms = np.ones(1)
+    for party in spec.parties:  # ||C||_F: the reference CJ's norm, or 1 for a direction
+        party_norms = np.ones(1 + party.d_in**2 * (party.d_out**2 - 1))
+        party_norms[0] = np.linalg.norm(reference_cptp_cj(party).matrix)
+        norms = np.outer(norms, party_norms).ravel()
+    valid = kron_all(kron(random_density(p.d_in, 7), np.eye(p.d_out)) for p in spec.parties)
+    noise = random_hermitian(spec.total_dim, 8)
+    for m, all_broken in ((noise, True), (valid + DEFAULT_TOL * noise, False)):
+        w = ProcessMatrix(spec, m)
+        values, expected = normalization_values(w)
+        residual = np.abs(values - expected)
+        over = np.flatnonzero(residual > DEFAULT_TOL * norms)
+        want = [(constraint_label(spec, i), float(residual[i])) for i in over]
+        rows = [row for row in validate(w).violated_constraints if row[0].startswith("P0:")]
+        assert rows == want
+        assert len(want) == len(values) if all_broken else 0 < len(want) < len(values)
 
 
 @PROPERTY
