@@ -75,12 +75,12 @@ def _reduction_results(report, sums=()) -> dict:
 
 def _cmd_reduce(args) -> int:
     w = pmfile.load(args.file)
-    sums = None
-    with contextlib.suppress(DimensionMismatchError):  # W is not a few qubits in and out
-        sums = reduction.parity_sum_violations(w, tol=args.tol)
     # One certifier run: reduce_multiqubit's report is projection_oracle's, sum rows first.
     projection = reduction.projection_oracle(w, tol=args.tol)
-    results = {} if sums is None else {"constructive": _reduction_results(projection, sums)}
+    results = {}
+    with contextlib.suppress(DimensionMismatchError):  # W is not a few qubits in and out
+        sums = reduction.parity_sum_violations(w, tol=args.tol)
+        results["constructive"] = _reduction_results(projection, sums)
     results["projection"] = _reduction_results(projection)
     _emit(args, {"file": args.file}, results, "pass" if projection.certified else "fail")
     return EXIT_PASS if projection.certified else EXIT_FAIL

@@ -228,23 +228,12 @@ def normalization_values(w: ProcessMatrix):
     return values, expected
 
 
-@lru_cache(maxsize=None)
-def _party_labels(spec: PartySpec) -> tuple:
-    """Per party, an object array of the labels of its constraint factors, ref first."""
-    labels = []
-    for i, p in enumerate(spec.parties):
-        directions = (f"P{i}:dir{k}" for k in range(p.d_in**2 * (p.d_out**2 - 1)))
-        labels.append(np.array([f"P{i}:ref", *directions], dtype=object))
-    return tuple(labels)
-
-
 def _constraint_labels(spec: PartySpec, indices) -> list:
     """Labels of the constraints ``indices`` in ``normalization_constraints(spec)``."""
-    if len(indices) == 0:  # a certified W builds no label arrays
-        return []
-    labels = _party_labels(spec)
-    factors = np.unravel_index(indices, [len(party) for party in labels])
-    return ["|".join(row) for row in zip(*(party[k] for party, k in zip(labels, factors)))]
+    shape = [1 + p.d_in**2 * (p.d_out**2 - 1) for p in spec.parties]
+    factors = np.unravel_index(indices, shape)
+    return ["|".join(f"P{i}:dir{k - 1}" if k else f"P{i}:ref" for i, k in enumerate(row))
+            for row in zip(*(f.tolist() for f in factors))]
 
 
 def constraint_label(spec: PartySpec, index: int) -> str:

@@ -283,8 +283,7 @@ def parity_sum_violations(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> list:
 
 
 def reduce_multiqubit(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ReductionReport:
-    """n-qubit constructive reduction: ``projection_oracle``'s report, as
-    ``_finish_report`` certifies, with the ``parity_sum_violations`` records first."""
+    """n-qubit constructive reduction: ``projection_oracle``'s report, sum records first."""
     return _finish_report(w, parity_sum_violations(w, tol), tol)
 
 

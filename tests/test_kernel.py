@@ -67,9 +67,19 @@ PARTY_DIMS = (
 
 def test_product_expectations_matches_kron():
     """Each entry is Tr[W (S_1[a_1] (x) ... (x) S_n[a_n])] with the product built by
-    ``kron_all``: 1-6 factors, factor dimension 1, one-element stacks, Hermitian and
-    complex non-Hermitian stacks, and W contiguous, transposed or in Fortran order.
-    W and every stack element have unit Frobenius norm, so each entry is at most 1."""
+    ``kron_all``. First a fixed three-factor case as drawn; then 1-6 factors, factor
+    dimension 1, one-element stacks, Hermitian and complex non-Hermitian stacks, and
+    W contiguous, transposed or in Fortran order, with W and every stack element
+    scaled to unit Frobenius norm so each entry is at most 1 and 1e-13 stays tight."""
+    stacks = [np.stack([random_hermitian(d, 10 * d + k) for k in range(m)])
+              for d, m in ((2, 3), (3, 2), (2, 4))]
+    w = random_hermitian(12, 0) + 0.3j * random_hermitian(12, 1)
+    values = product_expectations(w, stacks)
+    assert values.shape == (3, 2, 4)
+    for index in itertools.product(*(range(len(s)) for s in stacks)):
+        op = kron_all(s[a] for s, a in zip(stacks, index))
+        assert abs(values[index] - np.trace(w @ op)) <= 1e-13
+
     rng = np.random.default_rng(0)
 
     def unit(m):
