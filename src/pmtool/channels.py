@@ -145,6 +145,9 @@ def random_cp_map(dims: DimensionPair, n_kraus: int, seed: int) -> KrausFamily:
 
 def random_cptp(dims: DimensionPair, n_kraus: int, seed: int) -> KrausFamily:
     """Seeded random CPTP map: Gaussian draw, then Gram normalization."""
+    if n_kraus * dims.d_out < dims.d_in:  # sum_k E_k^dagger E_k would be singular
+        raise ValueError(f"no CPTP map has n_kraus * d_out < d_in: {n_kraus} * {dims.d_out}"
+                         f" < {dims.d_in}")
     raw = random_cp_map(dims, n_kraus, seed)
     s = raw.kraus_sum()
     vals, vecs = np.linalg.eigh(s)

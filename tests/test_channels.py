@@ -182,6 +182,26 @@ def test_random_cptp_exact_and_deterministic():
     )
 
 
+@pytest.mark.parametrize("d_in, d_out, n", [
+    (2, 1, 1), (3, 1, 1), (3, 1, 2), (3, 2, 1), (4, 1, 1), (4, 1, 2), (4, 2, 1), (4, 3, 1),
+])
+def test_random_cptp_rejects_too_few_kraus_operators(d_in, d_out, n):
+    # n * d_out < d_in: sum_k E_k^dagger E_k is singular, so no draw can be
+    # normalised; the error names the condition before any eigendecomposition
+    # (a RuntimeWarning from it would fail here under filterwarnings = error).
+    dims = DimensionPair(d_in, d_out)
+    for draw in (random_cptp, random_instrument):
+        with pytest.raises(ValueError, match=r"n_kraus \* d_out < d_in"):
+            draw(dims, n, seed=0)
+
+
+@pytest.mark.parametrize("d_in, d_out, n", [(2, 1, 2), (3, 1, 3), (3, 2, 2), (4, 2, 2)])
+def test_random_cptp_accepts_the_smallest_kraus_count(d_in, d_out, n):
+    dims = DimensionPair(d_in, d_out)
+    assert is_cptp(random_cptp(dims, n, seed=0), tol=1e-12)
+    assert len(random_instrument(dims, n, seed=0).branches) == n
+
+
 def test_kraus_family_shape_validation():
     with pytest.raises(DimensionMismatchError):
         KrausFamily(DimensionPair(2, 3), (np.eye(2),))

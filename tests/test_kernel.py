@@ -112,6 +112,31 @@ def test_product_expectations_matches_kron():
                     assert abs(values[index] - np.trace(matrix @ op)) <= 1e-13
 
 
+@pytest.mark.parametrize("d_in, d_out", [(1, 1), (1, 4), (4, 1), (2, 3), (3, 2), (2, 2),
+                                         (4, 4), (8, 8)])
+def test_single_party_certifier_matches_partial_trace_and_kron(d_in, d_out):
+    """The certifier's W_1 and residual, read off W's (d_in, d_out, d_in, d_out)
+    view, against ``partial_trace`` and the materialised W_1 (x) I from
+    ``kron_all``: Hermitian and complex non-Hermitian W of unit Frobenius norm,
+    and a valid rho (x) I plus 1e-10 of Hermitian noise, whose residual a
+    difference of squared norms would lose to cancellation; each passed
+    contiguous, transposed and in Fortran order."""
+    total = d_in * d_out
+    rng = np.random.default_rng(total)
+    general = rng.standard_normal((total, total)) + 1j * rng.standard_normal((total, total))
+    noise = random_hermitian(total, total + 1)
+    valid = kron(random_density(d_in, total), np.eye(d_out))
+    inputs = [m / np.linalg.norm(m) for m in (random_hermitian(total, total), general)]
+    for w in inputs + [valid + 1e-10 * noise / np.linalg.norm(noise)]:
+        for matrix in (w, w.T, np.asfortranarray(w)):
+            report = projection_oracle(single_party(d_in, d_out, matrix))
+            w1 = partial_trace(matrix, [d_in, d_out], keep={0}) / d_out
+            off = np.linalg.norm(matrix - kron_all([w1, np.eye(d_out)]))
+            trace_gap = (np.trace(matrix).real - d_out) / math.sqrt(total)
+            assert np.max(np.abs(report.w1 - w1)) <= 1e-13
+            assert abs(report.residual - math.hypot(off, trace_gap)) <= 1e-13
+
+
 @PROPERTY
 @given(PARTY_DIMS, SEEDS)
 def test_constraint_values_match_materialised_constraints(dims, seed):
