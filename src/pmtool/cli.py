@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: validate, reduce, ocb-game, causal-bound, decompose, emit-ocb.
-Reports go to stdout as JSON (or text with --pretty), diagnostics to
+Reports go to stdout as JSON (or text with --pretty), errors to
 stderr. Exit codes: 0 pass/value, 1 fail, 2 usage or parse error.
 """
 

@@ -180,19 +180,6 @@ def _reference_coefficients(dims: DimensionPair) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _constraint_norms(spec: PartySpec) -> np.ndarray:
-    """||C||_F of every constraint C in ``normalization_values`` order, read-only: per
-    party a factor ||reference CJ||_F, or 1 for a direction (orthonormal basis)."""
-    norms = np.ones(1)
-    for dims in spec.parties:
-        party = np.ones(1 + dims.d_in**2 * (dims.d_out**2 - 1))
-        party[0] = np.linalg.norm(_reference_coefficients(dims))
-        norms = np.outer(norms, party).ravel()
-    norms.flags.writeable = False
-    return norms
-
-
-@lru_cache(maxsize=None)
 def _off_valid_mask(spec: PartySpec) -> np.ndarray:
     """Where W's product-basis coefficients lie off the image of L_V, read-only:
     L_V keeps the identity and every element in which some party is input-only
@@ -246,7 +233,9 @@ def validate(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityReport:
     valid set, sqrt(||W - L_V W||_F^2 + (Tr W - d_out)^2 / D), is at most tol.
 
     Rows label a rejection: hermiticity or the smallest eigenvalue, the trace,
-    the distance, then each constraint off by more than tol ||C||_F."""
+    the distance, then each constraint whose residual / ||C||_F exceeds tol (a
+    quotient, so a tol whose bound tol ||C||_F passes the largest float lists
+    no row instead of overflowing)."""
     violated = []
 
     gap, mineig = hermiticity_check(w.matrix, tol)
@@ -270,7 +259,12 @@ def validate(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityReport:
     values = _constraint_values(w.spec, t)
     values[0] -= 1.0  # the reference constraint expects 1, every direction 0
     residuals = np.abs(values)
-    over = np.flatnonzero(residuals > tol * _constraint_norms(w.spec))
+    # residual / ||C||_F: one axis per party, its reference slice over its reference CJ's norm
+    shape = [1 + p.d_in**2 * (p.d_out**2 - 1) for p in w.spec.parties]
+    per_probe = residuals.reshape(shape).copy()
+    for axis, dims in enumerate(w.spec.parties):
+        per_probe[(slice(None),) * axis + (0,)] /= np.linalg.norm(_reference_coefficients(dims))
+    over = np.flatnonzero(per_probe > tol)
     violated += zip(_constraint_labels(w.spec, over), residuals[over].tolist())
 
     return ValidityReport(psd_ok=mineig >= -tol, min_eigenvalue=mineig,

@@ -122,6 +122,15 @@ def test_validate_fail_exit_code(capsys, invalid_pm_path):
     assert report["status"] == "fail"
 
 
+def test_validate_huge_tol_lists_no_row_like_reduce(capsys, valid_pm_path):
+    # tol * ||C||_F passes the largest float; the rows compare residual / ||C||_F
+    code, report = run(capsys, "validate", valid_pm_path, "--tol", "1e308")
+    assert code == 0 and report["status"] == "pass"
+    assert report["results"]["violated_constraints"] == []
+    code, _ = run(capsys, "reduce", valid_pm_path, "--tol", "1e308")
+    assert code == 0
+
+
 def test_validate_missing_file_is_usage_error(capsys):
     code = main(["validate", "/nonexistent/foo.pm.json"])
     assert code == 2

@@ -111,6 +111,15 @@ def test_validate_w_ocb():
     assert report.worst_residual <= 1e-10
 
 
+def test_validate_huge_tol_certifies_without_overflow():
+    # each row compares residual / ||C||_F with tol, never tol * ||C||_F
+    from pmtool.ocbgame import build_w_ocb
+
+    report = validate(build_w_ocb(), tol=1e308)
+    assert report.ok
+    assert report.violated_constraints == ()
+
+
 def test_validate_perturbed_fails_with_residual():
     w = single_party(2, 2, kron(np.eye(2), np.eye(2)) / 2
                      + 0.1 * kron(pauli("z"), pauli("z")))
