@@ -122,7 +122,7 @@ def _cmd_decompose(args) -> int:
     n = decomp.n
     coefficients = {
         "".join(word[:n]) + "," + "".join(word[n:]): value
-        for word, value in sorted(decomp.coefficients.items())
+        for word, value in decomp.coefficients.items()
     }
     results = {"n_qubits": n, "coefficients": coefficients}
     _emit(args, {"file": args.file}, results, "value")

@@ -15,10 +15,12 @@ With the trace, it puts W in an affine set whose linear part is the image of
 L_V = 1 - (x)_i (1 - _{O_i} + _{I_i O_i}) + (x)_i _{I_i O_i}, where
 _X W = Tr_X W (x) I_X / d_X (Araujo et al., NJP 17, 102001, 2015). In the
 orthonormal product basis of ``hermitian_basis`` on every factor, L_V keeps
-or drops each element, so ``validate`` reads W's Frobenius distance to the
-valid set off one coefficient tensor; the constraint values read off it
-(``normalization_values``) only label a rejection. The materialised
-``normalization_constraints`` is kept as the readable reference.
+or drops each element by how every party splits into identity, input-only
+and output-touching parts. So one per-party walk of one coefficient tensor
+gives both W's Frobenius distance to the valid set (each party led by its
+identity element) and the constraint values (led by its reference CJ's row,
+in closed form), which only label a rejection (``normalization_values``).
+The materialised ``normalization_constraints`` is kept as the reference.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -169,39 +170,25 @@ def normalization_constraints(spec: PartySpec) -> list:
     ]
 
 
-@lru_cache(maxsize=None)
-def _reference_coefficients(dims: DimensionPair) -> np.ndarray:
-    """The reference CJ's real coefficients over the orthonormal product
-    basis hermitian_basis(d_in) (x) hermitian_basis(d_out); read-only."""
-    stacks = [hermitian_basis(dims.d_in), hermitian_basis(dims.d_out)]
-    coefficients = product_expectations(reference_cptp_cj(dims).matrix, stacks).real
-    coefficients.flags.writeable = False
-    return coefficients
+def _reference_row(dims: DimensionPair, block: np.ndarray) -> np.ndarray:
+    """Tr[W (C (x) ...)] for the party's reference CJ C, off its block t[a, b, rest] of
+    product-basis coefficients. Closed form: the identity channel's SWAP has coefficients
+    delta_ab, since Tr[SWAP (A (x) B)] = Tr[AB]; trace-and-prepare's I (x) |0><0| has
+    sqrt(d_in) delta_a0 <0|G_b|0>."""
+    if dims.d_in == dims.d_out:
+        return np.trace(block)
+    return math.sqrt(dims.d_in) * hermitian_basis(dims.d_out)[:, 0, 0].real @ block[0]
 
 
-@lru_cache(maxsize=None)
-def _off_valid_mask(spec: PartySpec) -> np.ndarray:
-    """Where W's product-basis coefficients lie off the image of L_V, read-only:
-    L_V keeps the identity and every element in which some party is input-only
-    (input direction not the identity, output the identity)."""
-    mask = np.ones((), dtype=bool)
+def _party_rows(spec: PartySpec, t: np.ndarray, lead) -> np.ndarray:
+    """W's product-basis coefficients t with each party's two axes made one, parties in
+    order: the row ``lead(dims, block)``, then the output-touching ``block[:, 1:]``. With
+    ``_reference_row`` it is Tr[W C] in ``normalization_constraints`` order; with
+    ``block[0, 0]`` it is the identity's coefficient, then every element L_V drops."""
     for dims in spec.parties:
-        input_only = np.zeros((dims.d_in**2, dims.d_out**2), dtype=bool)
-        input_only[1:, 0] = True
-        mask = np.logical_and.outer(mask, ~input_only)
-    mask[(0,) * mask.ndim] = False
-    mask.flags.writeable = False
-    return mask
-
-
-def _constraint_values(spec: PartySpec, t: np.ndarray) -> np.ndarray:
-    """Tr[W C] for every constraint C in ``normalization_constraints`` order, from
-    W's product-basis coefficients t: with a party's two axes leading, its reference
-    CJ is one matmul with ``_reference_coefficients``, its directions the slice [:, 1:]."""
-    for dims in spec.parties:
-        t = t.reshape(dims.d_in**2, dims.d_out**2, -1)
-        ref = _reference_coefficients(dims).reshape(1, -1) @ t.reshape(dims.total**2, -1)
-        t = np.concatenate([ref, t[:, 1:].reshape(-1, ref.shape[1])]).T  # next party leads
+        block = t.reshape(dims.d_in**2, dims.d_out**2, -1)
+        head = lead(dims, block)
+        t = np.concatenate([head[np.newaxis], block[:, 1:].reshape(-1, head.size)]).T
     return t.reshape(-1)
 
 
@@ -209,7 +196,7 @@ def normalization_values(w: ProcessMatrix):
     """(Tr[W C], expected) for every constraint C of
     ``normalization_constraints``, as flat arrays in the same order."""
     t = product_expectations(w.matrix, [hermitian_basis(d) for d in w.spec.factor_dims])
-    values = _constraint_values(w.spec, t)
+    values = _party_rows(w.spec, t, _reference_row)
     expected = np.zeros(values.size)
     expected[0] = 1.0
     return values, expected
@@ -251,19 +238,22 @@ def validate(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityReport:
         violated.append(("trace", abs(trace_gap)))
 
     t = product_expectations(w.matrix, [hermitian_basis(d) for d in w.spec.factor_dims])
-    distance = math.hypot(float(np.linalg.norm(t[_off_valid_mask(w.spec)])),
+    off_valid = _party_rows(w.spec, t, lambda dims, block: block[0, 0])[1:]
+    distance = math.hypot(float(np.linalg.norm(off_valid)),
                           trace_gap / math.sqrt(w.spec.total_dim))
     if distance > tol:
         violated.append(("distance", distance))
 
-    values = _constraint_values(w.spec, t)
+    values = _party_rows(w.spec, t, _reference_row)
     values[0] -= 1.0  # the reference constraint expects 1, every direction 0
     residuals = np.abs(values)
-    # residual / ||C||_F: one axis per party, its reference slice over its reference CJ's norm
+    # residual / ||C||_F: one axis per party, its reference slice over its reference CJ's
+    # exact norm, d for the SWAP and sqrt(d_in) for I (x) |0><0|
     shape = [1 + p.d_in**2 * (p.d_out**2 - 1) for p in w.spec.parties]
     per_probe = residuals.reshape(shape).copy()
     for axis, dims in enumerate(w.spec.parties):
-        per_probe[(slice(None),) * axis + (0,)] /= np.linalg.norm(_reference_coefficients(dims))
+        per_probe[(slice(None),) * axis + (0,)] /= (
+            dims.d_out if dims.d_in == dims.d_out else math.sqrt(dims.d_in))
     over = np.flatnonzero(per_probe > tol)
     violated += zip(_constraint_labels(w.spec, over), residuals[over].tolist())
 

@@ -296,6 +296,7 @@ def test_decompose_report(capsys, valid_pm_path):
     assert coeffs["1,1"] == pytest.approx(0.5, abs=1e-13)
     assert coeffs["z,x"] == pytest.approx(0.0, abs=1e-13)
     assert len(coeffs) == 16
+    assert list(coeffs) == sorted(coeffs)
 
 
 def test_pretty_output(capsys, valid_pm_path):

@@ -151,7 +151,8 @@ def test_constraint_values_match_materialised_constraints(dims, seed):
         assert abs(values[index] - np.trace(w.matrix @ matrix)) <= 1e-12
 
 
-@pytest.mark.parametrize("dims", [((2, 2),), ((2, 3), (3, 2)), ((1, 2), (2, 1)), ((2, 2),) * 3])
+@pytest.mark.parametrize("dims", [((2, 2),), ((2, 3), (3, 2)), ((1, 2), (2, 1)), ((2, 2),) * 3,
+                                  ((4, 4),), ((5, 3),), ((3, 5), (1, 2)), ((4, 2), (2, 4))])
 def test_validate_labels_each_violated_constraint_in_index_order(dims):
     """validate's constraint rows are, in order, (constraint_label(spec, i), residual_i)
     for every i with residual_i > tol ||C_i||_F, both on a random W and on a valid W
@@ -173,6 +174,18 @@ def test_validate_labels_each_violated_constraint_in_index_order(dims):
         rows = [row for row in validate(w).violated_constraints if row[0].startswith("P0:")]
         assert rows == want
         assert len(want) == len(values) if all_broken else 0 < len(want) < len(values)
+
+
+@pytest.mark.parametrize("d_in, d_out", [(8, 8), (1, 8), (8, 1), (6, 4), (4, 6)])
+def test_reference_row_is_the_reference_cj_value(d_in, d_out):
+    """The reference constraint's value, read off the closed-form coefficients of the
+    SWAP or of I (x) |0><0|, is Tr[W C] with C built by ``reference_cptp_cj``, at
+    dimensions beyond those that ``PARTY_DIMS`` draws."""
+    dims = DimensionPair(d_in, d_out)
+    h = random_hermitian(dims.total, 3)
+    w = single_party(d_in, d_out, h / np.linalg.norm(h))
+    value = normalization_values(w)[0][0]
+    assert abs(value - np.trace(w.matrix @ reference_cptp_cj(dims).matrix)) <= 1e-12
 
 
 @PROPERTY
