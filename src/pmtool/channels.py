@@ -21,10 +21,7 @@ from .linalg import (
     DEFAULT_TOL,
     DimensionMismatchError,
     DimensionPair,
-    frobenius_norm,
-    pauli_eigenvector,
     projector,
-    unit_vector,
 )
 
 
@@ -111,20 +108,7 @@ def cj_of_instrument(instr: Instrument) -> list:
 
 def is_cptp(f: KrausFamily, tol: float = DEFAULT_TOL) -> bool:
     """True iff ||sum_k E_k^dagger E_k - I_{d_in}||_F <= tol."""
-    return frobenius_norm(f.kraus_sum() - np.eye(f.dims.d_in)) <= tol
-
-
-def measure_prepare_instrument(basis: str, prepared) -> Instrument:
-    """Measure a qubit in a Pauli basis, then prepare a fixed state per outcome.
-
-    Branch s carries the single Kraus |prepared[s]><basis(s)|.
-    """
-    branches = []
-    for s in (0, 1):
-        prep = unit_vector(prepared[s], f"prepared state for outcome {s}")
-        kraus = np.outer(prep, pauli_eigenvector(basis, s).conj())
-        branches.append(KrausFamily(DimensionPair(2, len(prep)), (kraus,)))
-    return Instrument(branches[0].dims, tuple(branches))
+    return float(np.linalg.norm(f.kraus_sum() - np.eye(f.dims.d_in))) <= tol
 
 
 def measure_prepare_cj(meas_state: np.ndarray, prep_state: np.ndarray) -> CJOperator:

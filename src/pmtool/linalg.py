@@ -20,8 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 DEFAULT_TOL = 1e-9
-
-PAULI_INDICES = ("1", "x", "y", "z")
+MAX_BASIS_DIM = 64  # hermitian_basis(d) holds 16 d^4 bytes: 256 MiB at 64, 4 GiB at 128
 
 _PAULI = {
     "1": np.eye(2, dtype=complex),
@@ -44,7 +43,7 @@ _PAULI_EIGVECS = {
 
 # The Pauli operators 1, x, y, z and their six eigenprojectors
 # x0, x1, y0, y1, z0, z1, stacked for ``product_expectations``.
-PAULI_STACK = np.stack([_PAULI[p] for p in PAULI_INDICES])
+PAULI_STACK = np.stack([_PAULI[p] for p in "1xyz"])
 EIGENPROJECTOR_STACK = np.stack([np.outer(v, v.conj()) for v in _PAULI_EIGVECS.values()])
 PAULI_STACK.flags.writeable = EIGENPROJECTOR_STACK.flags.writeable = False
 
@@ -190,27 +189,16 @@ def min_eigenvalue(m: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     return lowest
 
 
-def is_psd(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Hermitian and positive semidefinite, each within tol."""
-    return hermiticity_check(m, tol)[1] >= -tol
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr(a^dagger b)."""
-    return complex(np.vdot(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
-
-
-def frobenius_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(m)))
-
-
 @lru_cache(maxsize=None)
 def hermitian_basis(d: int) -> np.ndarray:
     """Orthonormal (Frobenius) Hermitian basis of d x d matrices, as a
     read-only (d^2, d, d) stack built once per d.
 
-    Identity-direction element first, then the traceless ones.
+    Identity-direction element first, then the traceless ones; d <= MAX_BASIS_DIM.
     """
+    if d > MAX_BASIS_DIM:
+        raise DimensionMismatchError(f"factor dimension {d} is above {MAX_BASIS_DIM}: its "
+                                     f"Hermitian basis would take {16 * d**4} bytes")
     basis = np.stack([np.eye(d, dtype=complex) / np.sqrt(d)] + traceless_hermitian_basis(d))
     basis.flags.writeable = False
     return basis

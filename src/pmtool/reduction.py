@@ -35,7 +35,6 @@ from .linalg import (
     PAULI_STACK,
     DimensionMismatchError,
     NonHermitianError,
-    frobenius_norm,
     hermiticity_check,
     kron_all,  # not called here; perfbench/selftest.py checks that its tracer rebinds it
     pauli_word,
@@ -169,12 +168,12 @@ def _finish_report(w: ProcessMatrix, violations, tol: float) -> ReductionReport:
     w1 = np.trace(blocks, axis1=1, axis2=3) / dims.d_out
     trace = float(np.trace(w.matrix).real)
     root_d = math.sqrt(dims.total)  # ||I||_F, the trace's probe norm
-    off = frobenius_norm(blocks - w1[:, None, :, None] * np.eye(dims.d_out)[:, None])
+    off = float(np.linalg.norm(blocks - w1[:, None, :, None] * np.eye(dims.d_out)[:, None]))
     residual = math.hypot(off, (trace - dims.d_out) / root_d)
     if abs(trace - dims.d_out) > tol * root_d:
         violations.append(ConstraintRecord(f"Tr(W) = {dims.d_out}", trace, float(dims.d_out),
                                            "trace", trace / dims.d_out - 1.0))
-    gap = frobenius_norm(w.matrix - w.matrix.conj().T) / 2
+    gap = float(np.linalg.norm(w.matrix - w.matrix.conj().T)) / 2
     w1_lowest = hermiticity_check(w1, tol)[1]  # W_1's gap is at most W's
     # W's lowest eigenvalue is at least W_1's minus ||W - W_1 (x) I||_F (Weyl), so
     # W's own spectrum is computed only when the verdict rests on it.

@@ -376,6 +376,21 @@ def test_dimension_mismatch_is_usage_error(tmp_path, capsys, command):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("d_in, d_out", [(65, 1), (1, 65)])
+def test_validate_refuses_factor_dimension_above_64(tmp_path, capsys, d_in, d_out):
+    # validate's Gell-Mann stack for the factor would be too large; reduce builds none
+    path = str(tmp_path / "big.pm.json")
+    pmfile.save(path, single_party(d_in, d_out, kron(random_density(d_in, 0), np.eye(d_out))))
+    code = main(["validate", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: factor dimension 65 is above 64")
+    assert captured.err.count("\n") == 1
+    code, report = run(capsys, "reduce", path)
+    assert code == 0 and report["status"] == "pass"
+
+
 def test_decompose_non_hermitian_is_usage_error(capsys, nonhermitian_pm_path):
     code = main(["decompose", nonhermitian_pm_path])
     captured = capsys.readouterr()

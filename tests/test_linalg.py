@@ -10,8 +10,6 @@ from pmtool.linalg import (
     basis_state,
     hermitian_basis,
     hermiticity_check,
-    hs_inner,
-    is_psd,
     kron,
     min_eigenvalue,
     partial_trace,
@@ -177,12 +175,6 @@ def test_min_eigenvalue_rejects_non_hermitian():
         min_eigenvalue(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
-def test_is_psd():
-    assert is_psd(projector(basis_state(0)))
-    assert not is_psd(pauli("z"))
-    assert not is_psd(np.array([[1, 1], [0, 1]], dtype=complex))  # PSD part, not Hermitian
-
-
 def test_hermiticity_check_measures_frobenius_gap():
     m = np.array([[2, 1], [0, 3]], dtype=complex)
     gap, lowest = hermiticity_check(m)
@@ -192,12 +184,11 @@ def test_hermiticity_check_measures_frobenius_gap():
     assert lowest == pytest.approx(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
     gap, lowest = hermiticity_check(pauli("y"))
     assert gap == 0.0 and lowest == pytest.approx(-1.0)
-
-
-def test_hs_inner():
-    a = random_hermitian(3, 20)
-    b = random_hermitian(3, 21)
-    assert hs_inner(a, b) == pytest.approx(complex(np.trace(a.conj().T @ b)))
+    gap, lowest = hermiticity_check(projector(basis_state(0)))
+    assert gap == 0.0 and lowest == pytest.approx(0.0)
+    assert hermiticity_check(pauli("z"))[1] == pytest.approx(-1.0)
+    gap, lowest = hermiticity_check(np.array([[1, 1], [0, 1]], dtype=complex))  # PSD part
+    assert gap > 1e-9 and lowest == float("-inf")
 
 
 def test_hermitian_bases():
@@ -214,13 +205,19 @@ def test_hermitian_bases():
         for i, a in enumerate(full):
             for j, b in enumerate(full):
                 want = 1.0 if i == j else 0.0
-                assert abs(hs_inner(a, b) - want) < 1e-13
+                assert abs(np.vdot(a, b) - want) < 1e-13
+
+
+def test_hermitian_basis_refuses_dimension_above_max():
+    # the stack would hold 16 d^4 bytes (4 GiB at d = 128), so it is never built
+    with pytest.raises(DimensionMismatchError, match="dimension 65 is above 64"):
+        hermitian_basis(65)
 
 
 def test_random_density_is_density():
     for seed in range(5):
         rho = random_density(4, seed)
-        assert is_psd(rho, 1e-13)  # hermiticity gap and spectrum, both within 1e-13
+        assert hermiticity_check(rho, 1e-13)[1] >= -1e-13  # gap and spectrum within 1e-13
         assert np.trace(rho).real == pytest.approx(1.0)
 
 
