@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 DEFAULT_TOL = 1e-9
-MAX_BASIS_DIM = 64  # hermitian_basis(d) holds 16 d^4 bytes: 256 MiB at 64, 4 GiB at 128
+MAX_BASIS_DIM = 64  # hermitian_basis(d) peaks at its own 16 d^4 bytes: 256 MiB at 64, 4 GiB at 128
 
 _PAULI = {
     "1": np.eye(2, dtype=complex),
@@ -191,41 +191,28 @@ def min_eigenvalue(m: np.ndarray, tol: float = DEFAULT_TOL) -> float:
 
 @lru_cache(maxsize=None)
 def hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal (Frobenius) Hermitian basis of d x d matrices, as a
-    read-only (d^2, d, d) stack built once per d.
-
-    Identity-direction element first, then the traceless ones; d <= MAX_BASIS_DIM.
-    """
+    """Orthonormal (Frobenius) Hermitian basis of d x d matrices: one read-only
+    (d^2, d, d) stack per d, each element written in place. Generalized Gell-Mann
+    order: the identity direction, the symmetric and antisymmetric element of each
+    pair i < j, then the traceless diagonal ladder; d <= MAX_BASIS_DIM."""
     if d > MAX_BASIS_DIM:
         raise DimensionMismatchError(f"factor dimension {d} is above {MAX_BASIS_DIM}: its "
                                      f"Hermitian basis would take {16 * d**4} bytes")
-    basis = np.stack([np.eye(d, dtype=complex) / np.sqrt(d)] + traceless_hermitian_basis(d))
-    basis.flags.writeable = False
-    return basis
-
-
-def traceless_hermitian_basis(d: int) -> list:
-    """Orthonormal basis of the traceless Hermitian d x d matrices.
-
-    Generalized Gell-Mann construction: symmetric and antisymmetric
-    off-diagonal pairs plus diagonal ladder elements; d^2 - 1 matrices.
-    """
-    basis = []
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    np.fill_diagonal(basis[0], 1 / np.sqrt(d))
+    elements = iter(basis[1:])
     for i in range(d):
         for j in range(i + 1, d):
-            sym = np.zeros((d, d), dtype=complex)
+            sym, anti = next(elements), next(elements)
             sym[i, j] = sym[j, i] = 1 / np.sqrt(2)
-            basis.append(sym)
-            anti = np.zeros((d, d), dtype=complex)
             anti[i, j] = -1j / np.sqrt(2)
             anti[j, i] = 1j / np.sqrt(2)
-            basis.append(anti)
-    for k in range(1, d):
-        diag = np.zeros((d, d), dtype=complex)
+    for k, diag in enumerate(elements, start=1):
         for i in range(k):
             diag[i, i] = 1.0
         diag[k, k] = -k
-        basis.append(diag / np.sqrt(k * (k + 1)))
+        diag /= np.sqrt(k * (k + 1))
+    basis.flags.writeable = False
     return basis
 
 

@@ -84,11 +84,13 @@ class CausalBoundReport:
     best_strategy: CausalStrategy
 
 
+@functools.cache
 def build_w_ocb() -> ProcessMatrix:
     """The 16x16 process matrix (1/4)[I + (IZZI + ZIXZ)/sqrt(2)] over
-    A_in (x) A_out (x) B_in (x) B_out."""
+    A_in (x) A_out (x) B_in (x) B_out, built once and shared read-only."""
     izzi, zixz = pauli_word("1zz1"), pauli_word("z1xz")
     w = (np.eye(16, dtype=complex) + (izzi + zixz) / np.sqrt(2)) / 4
+    w.flags.writeable = False
     return ProcessMatrix(_GAME_PARTIES, w)
 
 

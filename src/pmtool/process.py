@@ -40,7 +40,6 @@ from .linalg import (
     hermiticity_check,
     kron_all,
     product_expectations,
-    traceless_hermitian_basis,
 )
 
 
@@ -158,7 +157,7 @@ def normalization_constraints(spec: PartySpec) -> list:
         directions = (
             np.kron(h, g)
             for h in hermitian_basis(dims.d_in)
-            for g in traceless_hermitian_basis(dims.d_out)
+            for g in hermitian_basis(dims.d_out)[1:]
         )
         per_party.append([(f"P{i}:ref", reference_cptp_cj(dims).matrix, 1.0)] + [
             (f"P{i}:dir{k}", direction, 0.0) for k, direction in enumerate(directions)

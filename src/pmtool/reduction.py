@@ -78,14 +78,15 @@ class ReductionReport:
 
 
 def _qubit_count(w: ProcessMatrix) -> int:
+    need = "expected one party of n qubits in and out"
     if len(w.spec.parties) != 1:
-        raise DimensionMismatchError("reduction operates on single-party W")
+        raise DimensionMismatchError(f"{need}, got {len(w.spec.parties)} parties")
     dims = w.spec.parties[0]
     if dims.d_in != dims.d_out:
-        raise DimensionMismatchError("qubit reduction needs d_in = d_out")
+        raise DimensionMismatchError(f"{need}, got d_in = {dims.d_in}, d_out = {dims.d_out}")
     n = dims.d_in.bit_length() - 1
     if 2**n != dims.d_in:
-        raise DimensionMismatchError(f"dimension {dims.d_in} is not a power of two")
+        raise DimensionMismatchError(f"{need}, got dimension {dims.d_in}")
     return n
 
 

@@ -7,9 +7,9 @@ import pytest
 
 from pmtool import pmfile, reduction
 from pmtool.cli import build_parser, main
-from pmtool.linalg import kron, pauli, random_density
+from pmtool.linalg import DimensionPair, kron, pauli, random_density
 from pmtool.ocbgame import build_w_ocb
-from pmtool.process import single_party, validate
+from pmtool.process import PartySpec, ProcessMatrix, single_party, validate
 
 
 @pytest.fixture
@@ -374,6 +374,19 @@ def test_dimension_mismatch_is_usage_error(tmp_path, capsys, command):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("parties, detail", [
+    ([(2, 3)], "d_in = 2, d_out = 3"), ([(3, 3)], "dimension 3"), ([(2, 2), (2, 2)], "2 parties")])
+def test_decompose_states_its_qubit_requirement(tmp_path, capsys, parties, detail):
+    path = str(tmp_path / "w.pm.json")
+    spec = PartySpec(tuple(DimensionPair(*dims) for dims in parties))
+    pmfile.save(path, ProcessMatrix(spec, np.eye(spec.total_dim)))
+    code = main(["decompose", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: expected one party of n qubits in and out, got {detail}\n"
 
 
 @pytest.mark.parametrize("d_in, d_out", [(65, 1), (1, 65)])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pmtool.linalg import (
+    PAULI_STACK,
     DimensionPair,
     NonHermitianError,
     DimensionMismatchError,
@@ -18,7 +19,6 @@ from pmtool.linalg import (
     projector,
     random_density,
     random_hermitian,
-    traceless_hermitian_basis,
 )
 
 I2 = np.eye(2)
@@ -192,20 +192,32 @@ def test_hermiticity_check_measures_frobenius_gap():
 
 
 def test_hermitian_bases():
-    for d in (2, 3):
-        full = hermitian_basis(d)
-        traceless = traceless_hermitian_basis(d)
-        assert len(full) == d * d
-        assert len(traceless) == d * d - 1
-        for m in full:
-            assert np.array_equal(m, m.conj().T)
-        for m in traceless:
-            assert abs(np.trace(m)) < 1e-14
+    for d in (1, 2, 3, 4, 8):
+        basis = hermitian_basis(d)
+        assert basis.shape == (d * d, d, d)
+        assert not basis.flags.writeable
+        assert np.array_equal(basis, basis.conj().transpose(0, 2, 1))
+        # the identity direction first, every other element traceless
+        assert np.abs(basis[0] - np.eye(d) / np.sqrt(d)).max() <= 1e-15
+        assert np.abs(np.trace(basis[1:], axis1=1, axis2=2)).max(initial=0.0) < 1e-14
         # orthonormality in the Hilbert-Schmidt inner product
-        for i, a in enumerate(full):
-            for j, b in enumerate(full):
-                want = 1.0 if i == j else 0.0
-                assert abs(np.vdot(a, b) - want) < 1e-13
+        flat = basis.reshape(d * d, d * d)
+        assert np.abs(flat.conj() @ flat.T - np.eye(d * d)).max() < 1e-13
+
+
+def test_hermitian_basis_order():
+    # qubits: 1, x, y, z up to the normalisation 1/sqrt(2)
+    assert np.abs(hermitian_basis(2) * np.sqrt(2) - PAULI_STACK).max() <= 1e-15
+
+    def pair(i, j, anti):
+        m = np.zeros((3, 3), dtype=complex)
+        m[i, j], m[j, i] = (-1j, 1j) if anti else (1, 1)
+        return m / np.sqrt(2)
+
+    want = [np.eye(3) / np.sqrt(3)]
+    want += [pair(i, j, anti) for i, j in ((0, 1), (0, 2), (1, 2)) for anti in (False, True)]
+    want += [np.diag([1, -1, 0]) / np.sqrt(2), np.diag([1, 1, -2]) / np.sqrt(6)]
+    assert np.abs(hermitian_basis(3) - np.array(want)).max() <= 1e-15
 
 
 def test_hermitian_basis_refuses_dimension_above_max():

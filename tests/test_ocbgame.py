@@ -42,6 +42,13 @@ def test_w_ocb_trace_and_spectrum():
     assert np.allclose(sorted(eigs), [0.0] * 8 + [0.5] * 8, atol=1e-12)
 
 
+def test_w_ocb_is_built_once_and_read_only():
+    w = build_w_ocb()
+    assert build_w_ocb() is w
+    with pytest.raises(ValueError):
+        w.matrix[0, 0] = 0
+
+
 def test_w_ocb_is_valid():
     assert validate(build_w_ocb(), tol=1e-10).ok
 

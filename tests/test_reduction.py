@@ -313,18 +313,6 @@ def test_projection_oracle_rejects_perturbation():
     assert report.residual == pytest.approx(2e-3, abs=1e-12)  # eps ||X (x) Z||_F
 
 
-def test_oracle_equivalence_sweep():
-    words_out = [w for w in itertools.product("1xyz", repeat=2) if w[1] != "1"]
-    for seed in range(100):
-        rho = random_density(2, seed)
-        good = rho_tensor_identity(rho)
-        bad = perturbed(rho, words_out[seed % len(words_out)], 1e-3)
-        for w in (good, bad):
-            constructive = reduce_single_qubit(w).certified
-            oracle = projection_oracle(w).certified
-            assert constructive == oracle
-
-
 # --------------------------------------------------------- Born equivalence
 
 
