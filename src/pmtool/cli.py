@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: validate, reduce, ocb-game, causal-bound, decompose, emit-ocb.
-Reports go to stdout as JSON (or text with --pretty), errors to
-stderr. Exit codes: 0 pass/value, 1 fail, 2 usage or parse error.
+Reports go to stdout as one line of JSON (or text with --pretty), errors
+to stderr. Exit codes: 0 pass/value, 1 fail, 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import sys
 
@@ -34,7 +35,7 @@ def _emit(args, inputs: dict, results: dict, status: str) -> None:
     else:
         tolerances = {"tol": args.tol} if "tol" in args else {}
         print(json.dumps(dict(command=args.command, inputs=inputs, tolerances=tolerances,
-                              results=results, status=status), indent=1))
+                              results=results, status=status)))
 
 
 def _cmd_validate(args) -> int:
@@ -120,11 +121,10 @@ def _cmd_decompose(args) -> int:
     w = pmfile.load(args.file)
     decomp = reduction.pauli_decompose(w)
     n = decomp.n
-    coefficients = {
-        "".join(word[:n]) + "," + "".join(word[n:]): value
-        for word, value in decomp.coefficients.items()
-    }
-    results = {"n_qubits": n, "coefficients": coefficients}
+    # keys run over (input word, output word) pairs; the first 4^n hold every output word
+    words = ["".join(word[n:]) for word in itertools.islice(decomp.coefficients, 4**n)]
+    keys = [a + "," + b for a in words for b in words]
+    results = {"n_qubits": n, "coefficients": dict(zip(keys, decomp.coefficients.values()))}
     _emit(args, {"file": args.file}, results, "value")
     return EXIT_PASS
 

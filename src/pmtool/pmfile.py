@@ -2,14 +2,16 @@
 
 A document holds the party dimensions and the dense matrix with explicit
 [re, im] entry pairs, row-major. The header fields d_in, d_out, rows and
-cols are JSON integers. Numbers serialize as shortest round-trip decimals,
-so serialize/parse is bit exact. Hermiticity is not enforced at parse time;
-validation is a separate command.
+cols are JSON integers. A document is written on one line, with numbers as
+shortest round-trip decimals, so serialize/parse is bit exact; any JSON
+layout parses. Hermiticity is not enforced at parse time; validation is a
+separate command.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 
@@ -36,7 +38,7 @@ def serialize(w: ProcessMatrix, label: str = None) -> str:
     }
     if label is not None:
         doc["label"] = label
-    return json.dumps(doc, indent=1)
+    return json.dumps(doc)
 
 
 def _header_int(obj: dict, key: str) -> int:
@@ -86,11 +88,12 @@ def parse(text: str) -> ProcessMatrix:
                           f"{len(entries) if isinstance(entries, list) else 'non-list'}")
 
     values = None
-    # JSON gives exactly int, float or bool; a bool is not a number here
-    if (set(map(type, entries)) == {list} and set(map(len, entries)) == {2}
-            and {type(v) for e in entries for v in e} <= {int, float}):
-        with contextlib.suppress(OverflowError):  # an integer too large for a float
-            values = np.array(entries, dtype=float)
+    if set(map(type, entries)) == {list} and set(map(len, entries)) == {2}:
+        flat = list(itertools.chain.from_iterable(entries))
+        # JSON gives exactly int, float or bool; a bool is not a number here
+        if set(map(type, flat)) <= {int, float}:
+            with contextlib.suppress(OverflowError):  # an integer too large for a float
+                values = np.array(flat, dtype=float)
     if values is None or not np.isfinite(values).all():
         raise _entry_error(entries)
     return ProcessMatrix(spec, values.view(complex).reshape(rows, cols))  # keeps -0.0
@@ -111,7 +114,7 @@ def _entry_error(entries) -> PMFileError:
 def load(path) -> ProcessMatrix:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read().removeprefix("\ufeff")  # RFC 8259 8.1: a leading BOM may be ignored
     except UnicodeDecodeError as exc:
         raise PMFileError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     return parse(text)

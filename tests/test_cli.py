@@ -54,10 +54,14 @@ def run(capsys, *argv):
 def test_parse_round_trip_exact():
     w = build_w_ocb()
     text = pmfile.serialize(w, label="W_OCB")
-    again = pmfile.parse(text)
-    assert np.array_equal(again.matrix, w.matrix)
-    assert again.spec == w.spec
-    assert pmfile.serialize(again, label="W_OCB") == text
+    assert "\n" not in text
+    # the one-line layout, and the indented layout earlier versions wrote
+    for layout in (text, json.dumps(json.loads(text), indent=1)):
+        again = pmfile.parse(layout)
+        assert np.array_equal(again.matrix, w.matrix)
+        assert np.array_equal(np.signbit(again.matrix.view(float)), np.signbit(w.matrix.view(float)))
+        assert again.spec == w.spec
+        assert pmfile.serialize(again, label="W_OCB") == text
 
 
 def test_parse_reports_syntax_error():
@@ -258,6 +262,7 @@ def test_readme_cli_examples_run(tmp_path, capsys, valid_pm_path):
         code = main([files.get(arg, arg) for arg in argv[1:]])
         out = capsys.readouterr().out
         assert code == 0, argv
+        assert out.count("\n") == 1, argv  # one report, on one line
         json.loads(out, parse_constant=_reject_constant)
 
 
@@ -289,7 +294,7 @@ def test_causal_bound_report(capsys):
     assert report["results"]["b_before_a_two_bit"] == 0.75
 
 
-def test_decompose_report(capsys, valid_pm_path):
+def test_decompose_report(tmp_path, capsys, valid_pm_path):
     code, report = run(capsys, "decompose", valid_pm_path)
     assert code == 0
     coeffs = report["results"]["coefficients"]
@@ -297,6 +302,18 @@ def test_decompose_report(capsys, valid_pm_path):
     assert coeffs["z,x"] == pytest.approx(0.0, abs=1e-13)
     assert len(coeffs) == 16
     assert list(coeffs) == sorted(coeffs)
+    for n in (1, 2, 3):
+        d = 2**n
+        path = tmp_path / f"n{n}.pm.json"
+        pmfile.save(path, single_party(d, d, kron(random_density(d, n), np.eye(d))))
+        code, report = run(capsys, "decompose", str(path))
+        assert code == 0 and report["results"]["n_qubits"] == n
+        # "<in>,<out>" keys in pauli_decompose's order, each with its coefficient
+        expected = reduction.pauli_decompose(pmfile.load(path)).coefficients
+        assert list(report["results"]["coefficients"].items()) == [
+            ("".join(word[:n]) + "," + "".join(word[n:]), value)
+            for word, value in expected.items()
+        ]
 
 
 def test_pretty_output(capsys, valid_pm_path):
@@ -484,8 +501,28 @@ def test_deep_nesting_is_file_error(tmp_path, capsys):
 
 def test_non_utf8_file_is_file_error(tmp_path, capsys):
     path = tmp_path / "latin1.pm.json"
-    path.write_bytes(_scalar_doc().replace("{", '{"label": "caf\xe9", ', 1).encode("latin-1"))
+    text = _scalar_doc().replace("{", '{"label": "caf\xe9", ', 1)
+    path.write_bytes(text.encode("latin-1"))
     _assert_file_error(capsys, path)
+    main(["validate", str(path)])
+    assert capsys.readouterr().err == (f"error: {path} is not UTF-8 text: invalid "
+                                       f"continuation byte at byte {text.index(chr(0xe9))}\n")
+
+
+def test_utf8_file_with_byte_order_mark_is_read(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.pm.json", tmp_path / "bom.pm.json"
+    plain.write_text(_scalar_doc(), encoding="utf-8")
+    marked.write_text(_scalar_doc(), encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    for command in ("validate", "reduce", "decompose"):
+        assert run(capsys, command, str(marked))[1]["results"] == \
+            run(capsys, command, str(plain))[1]["results"]
+    assert run(capsys, "validate", str(marked))[0] == 0
+    # a bad byte after the mark is reported at its offset in the file
+    marked.write_bytes(marked.read_bytes().replace(b"{", b'{"label": "caf\xe9", ', 1))
+    main(["validate", str(marked)])
+    assert capsys.readouterr().err.endswith(
+        f"invalid continuation byte at byte {marked.read_bytes().index(0xe9)}\n")
 
 
 @pytest.mark.parametrize("fields", [
