@@ -131,17 +131,21 @@ def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
     return np.einsum(sub, t).reshape(d_keep, d_keep)
 
 
-def pauli(p: str) -> np.ndarray:
-    """Pauli operator sigma_p for p in {'1','x','y','z'} ('1' is identity)."""
+def _pauli(p: str) -> np.ndarray:
     try:
-        return _PAULI[p].copy()
+        return _PAULI[p]
     except KeyError:
         raise ValueError(f"unknown Pauli index {p!r}") from None
 
 
+def pauli(p: str) -> np.ndarray:
+    """Pauli operator sigma_p for p in {'1','x','y','z'} ('1' is identity)."""
+    return _pauli(p).copy()
+
+
 def pauli_word(indices) -> np.ndarray:
     """Tensor product of Pauli operators, left factor most significant."""
-    return kron_all(_PAULI[p] for p in indices)
+    return kron_all(map(_pauli, indices))
 
 
 def pauli_eigenvector(p: str, s: int) -> np.ndarray:

@@ -44,6 +44,7 @@ from .process import ProcessMatrix, probability
 
 MAX_QUBITS = 4
 SUM_PROBE_NORM = math.sqrt(2)  # ||(I + sigma) / 2^n||_F, every constraint sum's probe
+_WORDS = {}  # _pauli_words' tuples by length, kept up to 2 MAX_QUBITS letters
 
 
 @dataclass(frozen=True)
@@ -90,9 +91,25 @@ def _qubit_count(w: ProcessMatrix) -> int:
     return n
 
 
+def _pauli_words(length: int) -> tuple:
+    """Every Pauli word of ``length`` letters, a tuple of letter tuples in
+    itertools.product("1xyz", repeat=length) order. Built on first use and kept
+    for the life of the process up to 2 MAX_QUBITS letters (7.3 MB at 8);
+    longer words are built on every call and kept nowhere."""
+    words = _WORDS.get(length)
+    if words is None:
+        words = tuple(itertools.product("1xyz", repeat=length))
+        if length <= 2 * MAX_QUBITS:
+            _WORDS[length] = words
+    return words
+
+
 def pauli_coefficient(matrix: np.ndarray, word) -> float:
     """Single coefficient Tr(W sigma-word) / 4^n (n = half the word length)."""
     n2 = len(word)
+    if np.shape(matrix) != (2**n2, 2**n2):
+        raise DimensionMismatchError(f"a Pauli word of length {n2} needs a {2**n2}x{2**n2} "
+                                     f"matrix, got shape {np.shape(matrix)}")
     value = complex(np.trace(matrix @ pauli_word(word))) / (2**n2)
     if abs(value.imag) > DEFAULT_TOL / math.sqrt(2**n2):  # probe norm 2^n / 4^n
         raise NonHermitianError(f"non-real Pauli coefficient {value} for word {word}")
@@ -113,8 +130,7 @@ def pauli_decompose(w: ProcessMatrix) -> PauliDecomposition:
     n = values.ndim // 2
     if np.max(np.abs(values.imag)) > DEFAULT_TOL / 2**n:
         raise NonHermitianError("decomposition of a non-Hermitian matrix")
-    words = itertools.product("1xyz", repeat=2 * n)
-    return PauliDecomposition(n, dict(zip(words, values.real.ravel().tolist())))
+    return PauliDecomposition(n, dict(zip(_pauli_words(2 * n), values.real.ravel().tolist())))
 
 
 def _parity_sum(w: ProcessMatrix, bases, xi_support, eta_support) -> float:
@@ -276,7 +292,7 @@ def parity_sum_violations(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> list:
     lhs = 2**n * (c[0, 0] + c)
     violated = np.abs(lhs - 1.0) > tol * SUM_PROBE_NORM
     violated[:, 0] = False  # an output-identity word pins no coefficient
-    words = list(itertools.product("1xyz", repeat=n))
+    words = _pauli_words(n)
     violations = []
     for i, j in zip(*np.nonzero(violated)):
         alphas, xi_support = _word_bases(words[i])

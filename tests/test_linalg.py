@@ -16,6 +16,7 @@ from pmtool.linalg import (
     partial_trace,
     pauli,
     pauli_eigenvector,
+    pauli_word,
     projector,
     random_density,
     random_hermitian,
@@ -123,8 +124,10 @@ def test_pauli_matrices():
     assert np.array_equal(pauli("1"), I2)
     assert np.array_equal(pauli("y"), np.array([[0, -1j], [1j, 0]]))
     assert np.array_equal(pauli("z"), np.diag([1, -1]))
-    with pytest.raises(ValueError):
-        pauli("w")
+    with pytest.raises(ValueError, match="^unknown Pauli index 'q'$"):
+        pauli("q")
+    with pytest.raises(ValueError, match="^unknown Pauli index 'q'$"):
+        pauli_word("xq")
 
 
 def test_pauli_orthogonality_and_unitarity():

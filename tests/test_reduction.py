@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from pmtool import reduction
 from pmtool.channels import KrausFamily, random_cp_map
 from pmtool.linalg import (
     DimensionMismatchError,
@@ -71,6 +72,37 @@ def test_decompose_round_trip():
         rebuilt = sum(c * pauli_word(word) for word, c in decomp.coefficients.items())
         assert np.max(np.abs(rebuilt - h)) <= 1e-12
         assert len(decomp.coefficients) == 16**n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_decompose_shares_its_word_keys(n):
+    w = single_party(2**n, 2**n, random_hermitian(4**n, n))
+    first = pauli_decompose(w).coefficients
+    expected = dict(first)
+    first[("1",) * 2 * n] = 99.0
+    del first[("z",) * 2 * n]
+    second = pauli_decompose(w).coefficients
+    assert second == expected
+    assert list(second) == list(itertools.product("1xyz", repeat=2 * n))
+    assert all(a is b for a, b in zip(first, second))
+
+
+def test_decompose_keeps_no_words_above_the_qubit_bound(monkeypatch):
+    w = single_party(4, 4, random_hermitian(16, 3))
+    expected = pauli_decompose(w).coefficients
+    monkeypatch.setattr(reduction, "MAX_QUBITS", 1)
+    monkeypatch.setattr(reduction, "_WORDS", {})
+    decomp = pauli_decompose(w)
+    assert decomp.coefficients == expected
+    assert list(decomp.coefficients) == list(expected)
+    assert 4 not in reduction._WORDS
+    pauli_decompose(rho_tensor_identity(np.eye(2) / 2))
+    assert list(reduction._WORDS) == [2]
+
+
+def test_pauli_coefficient_rejects_a_word_of_the_wrong_length():
+    with pytest.raises(DimensionMismatchError, match=r"length 3 .* shape \(4, 4\)"):
+        pauli_coefficient(np.eye(4), ("x", "y", "z"))
 
 
 def test_decompose_rejects_non_power_of_two():
