@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,7 @@ from .process import ProcessMatrix, probability
 MAX_QUBITS = 4
 SUM_PROBE_NORM = math.sqrt(2)  # ||(I + sigma) / 2^n||_F, every constraint sum's probe
 _WORDS = {}  # _pauli_words' tuples by length, kept up to 2 MAX_QUBITS letters
+_LETTER_DIGITS = {"1": 0, "x": 1, "y": 2, "z": 3}
 
 
 @dataclass(frozen=True)
@@ -58,12 +60,49 @@ class ConstraintRecord:
     coefficient_value: float
 
 
+class PauliCoefficients(Mapping):
+    """Read-only mapping from Pauli-word tuples such as ("1", "z") to real
+    coefficients, in itertools.product("1xyz", repeat=length) order. Holds the
+    shared words of ``_pauli_words`` (generated on each iteration when it keeps
+    none) and one tuple of floats; ``dict(...)`` gives a mutable copy."""
+
+    __slots__ = ("_length", "_words", "_values")
+
+    def __init__(self, length: int, values):
+        self._length, self._words, self._values = length, _pauli_words(length), tuple(values)
+
+    def __getitem__(self, word) -> float:
+        if not isinstance(word, tuple) or len(word) != self._length:
+            raise KeyError(word)
+        index = 0
+        for letter in word:
+            digit = _LETTER_DIGITS.get(letter)
+            if digit is None:
+                raise KeyError(word)
+            index = 4 * index + digit
+        return self._values[index]
+
+    def __iter__(self):
+        if self._words is None:
+            return itertools.product("1xyz", repeat=self._length)
+        return iter(self._words)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def values(self) -> tuple:
+        return self._values
+
+    def items(self):
+        return zip(self, self._values)
+
+
 @dataclass(frozen=True)
 class PauliDecomposition:
     """Real coefficients of W over Pauli words sigma (x) ... (x) sigma."""
 
     n: int
-    coefficients: dict
+    coefficients: PauliCoefficients
 
 
 @dataclass(frozen=True)
@@ -91,16 +130,14 @@ def _qubit_count(w: ProcessMatrix) -> int:
     return n
 
 
-def _pauli_words(length: int) -> tuple:
+def _pauli_words(length: int):
     """Every Pauli word of ``length`` letters, a tuple of letter tuples in
     itertools.product("1xyz", repeat=length) order. Built on first use and kept
-    for the life of the process up to 2 MAX_QUBITS letters (7.3 MB at 8);
-    longer words are built on every call and kept nowhere."""
+    for the life of the process up to 2 MAX_QUBITS letters (7.3 MB at 8); None
+    for longer words, which are never built whole."""
     words = _WORDS.get(length)
-    if words is None:
-        words = tuple(itertools.product("1xyz", repeat=length))
-        if length <= 2 * MAX_QUBITS:
-            _WORDS[length] = words
+    if words is None and length <= 2 * MAX_QUBITS:
+        words = _WORDS[length] = tuple(itertools.product("1xyz", repeat=length))
     return words
 
 
@@ -130,7 +167,7 @@ def pauli_decompose(w: ProcessMatrix) -> PauliDecomposition:
     n = values.ndim // 2
     if np.max(np.abs(values.imag)) > DEFAULT_TOL / 2**n:
         raise NonHermitianError("decomposition of a non-Hermitian matrix")
-    return PauliDecomposition(n, dict(zip(_pauli_words(2 * n), values.real.ravel().tolist())))
+    return PauliDecomposition(n, PauliCoefficients(2 * n, values.real.ravel().tolist()))
 
 
 def _parity_sum(w: ProcessMatrix, bases, xi_support, eta_support) -> float:

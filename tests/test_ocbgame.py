@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pmtool.channels import KrausFamily, cj_of_kraus, is_cptp
+from pmtool.channels import KrausFamily, cj_of_kraus, is_cptp, random_cptp
 from pmtool.linalg import (
+    DEFAULT_TOL,
     DimensionMismatchError,
     DimensionPair,
     basis_state,
@@ -14,7 +15,9 @@ from pmtool.linalg import (
     min_eigenvalue,
     pauli_eigenvector,
     projector,
+    random_density,
     random_hermitian,
+    random_state,
 )
 from pmtool.ocbgame import (
     CausalStrategy,
@@ -277,6 +280,31 @@ def test_no_communication_bound():
 
 def test_quantum_score_violates_causal_bound():
     assert evaluate_game(build_w_ocb()).p_ocb > float(causal_bound_details().bound)
+
+
+def causally_ordered_pair(seed):
+    """W^{A<B} = rho_{A_I} (x) C_T (x) I_{B_O}, C_T = sum_ij |i><j| (x) T(|i><j|) the
+    untransposed Choi matrix of a random channel T from A_O to B_I, and its mirror
+    W^{B<A}: the same factors on (B_I, B_O, A_I, A_O)."""
+    ops = np.stack(random_cptp(DimensionPair(2, 2), 2, seed).operators)
+    choi = np.einsum("kai,kbj->iajb", ops, ops.conj()).reshape(4, 4)
+    a_before_b = kron(kron(random_density(2, seed + 1), choi), np.eye(2))
+    # row and column axes (A_I, A_O, B_I, B_O) each; B's pair moves first
+    b_before_a = a_before_b.reshape((2,) * 8).transpose(2, 3, 0, 1, 6, 7, 4, 5).reshape(16, 16)
+    return a_before_b, b_before_a
+
+
+def test_causally_ordered_w_never_beats_the_causal_bound():
+    bound = float(causal_bound_details().bound)
+    spec = PartySpec((DimensionPair(2, 2), DimensionPair(2, 2)))
+    for seed in range(20):
+        a_before_b, b_before_a = causally_ordered_pair(seed)
+        etas = list(ETA_STATES.values()) + [random_state(2, seed + 2)]
+        for p in (1.0, 0.0, 1 / 3, 2 / 3):  # each order, then two convex mixtures
+            w = ProcessMatrix(spec, p * a_before_b + (1 - p) * b_before_a)
+            assert validate(w).ok
+            for eta in etas:
+                assert evaluate_game(w, eta).p_ocb <= bound + DEFAULT_TOL
 
 
 def test_causal_bound_details_computed_once():

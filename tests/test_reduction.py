@@ -66,25 +66,64 @@ def test_decompose_single_word():
 
 
 def test_decompose_round_trip():
+    # sum_word c_word sigma_word without pauli_word's Kronecker products: each
+    # letter axis of the coefficient tensor is contracted with the Pauli stack
+    stack = np.stack([pauli(p) for p in "1xyz"])
     for n, seed in ((1, 0), (2, 1), (3, 2)):
         h = random_hermitian(4**n, seed)
         decomp = pauli_decompose(single_party(2**n, 2**n, h))
-        rebuilt = sum(c * pauli_word(word) for word, c in decomp.coefficients.items())
+        t = np.zeros((4,) * 2 * n)
+        for word, c in decomp.coefficients.items():
+            t[tuple(map("1xyz".index, word))] = c
+        for _ in range(2 * n):
+            t = np.tensordot(t, stack, axes=([0], [0]))
+        # axes are now (row_1, col_1, ..., row_2n, col_2n)
+        rows_then_cols = list(range(0, 4 * n, 2)) + list(range(1, 4 * n, 2))
+        rebuilt = t.transpose(rows_then_cols).reshape(4**n, 4**n)
         assert np.max(np.abs(rebuilt - h)) <= 1e-12
         assert len(decomp.coefficients) == 16**n
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_decompose_shares_its_word_keys(n):
+def test_decompose_is_a_read_only_mapping_over_shared_words(n):
     w = single_party(2**n, 2**n, random_hermitian(4**n, n))
     first = pauli_decompose(w).coefficients
-    expected = dict(first)
-    first[("1",) * 2 * n] = 99.0
-    del first[("z",) * 2 * n]
+    with pytest.raises(TypeError):
+        first[("1",) * 2 * n] = 99.0
+    with pytest.raises(TypeError):
+        del first[("z",) * 2 * n]
     second = pauli_decompose(w).coefficients
-    assert second == expected
+    assert second == first
     assert list(second) == list(itertools.product("1xyz", repeat=2 * n))
     assert all(a is b for a, b in zip(first, second))
+    copy = dict(second)
+    copy[("1",) * 2 * n] = 99.0
+    assert copy != second
+    assert pauli_decompose(w).coefficients == first
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_decompose_items_match_the_transform_bit_for_bit(n):
+    for seed in range(2):
+        w = single_party(2**n, 2**n, random_hermitian(4**n, seed))
+        values = reduction._pauli_coefficients(w).real.ravel().tolist()
+        expected = dict(zip(itertools.product("1xyz", repeat=2 * n), values))
+        coefficients = pauli_decompose(w).coefficients
+        items = list(coefficients.items())
+        assert [word for word, _ in items] == list(expected)
+        bits = np.array([v for _, v in items]).view(np.uint64)
+        assert np.array_equal(bits, np.array(list(expected.values())).view(np.uint64))
+        looked_up = np.array([coefficients[word] for word in expected]).view(np.uint64)
+        assert np.array_equal(looked_up, bits)
+
+
+def test_decompose_rejects_keys_the_dict_did_not_hold():
+    coefficients = pauli_decompose(rho_tensor_identity(np.eye(2) / 2)).coefficients
+    for key in ("1z", ("1",), ("1", "q"), ("1", "z", "x")):
+        with pytest.raises(KeyError):
+            coefficients[key]
+        assert key not in coefficients
+        assert coefficients.get(key, "missing") == "missing"
 
 
 def test_decompose_keeps_no_words_above_the_qubit_bound(monkeypatch):
@@ -92,9 +131,22 @@ def test_decompose_keeps_no_words_above_the_qubit_bound(monkeypatch):
     expected = pauli_decompose(w).coefficients
     monkeypatch.setattr(reduction, "MAX_QUBITS", 1)
     monkeypatch.setattr(reduction, "_WORDS", {})
-    decomp = pauli_decompose(w)
-    assert decomp.coefficients == expected
-    assert list(decomp.coefficients) == list(expected)
+    generated, product = [], itertools.product
+
+    def counting_product(*pools, repeat=1):
+        generated.append(repeat)
+        return product(*pools, repeat=repeat)
+
+    monkeypatch.setattr(itertools, "product", counting_product)
+    coefficients = pauli_decompose(w).coefficients
+    assert generated == []  # making the mapping builds no 4-letter word
+    first, second = list(coefficients), list(coefficients)
+    assert generated == [4, 4]
+    assert first == second == list(product("1xyz", repeat=4))
+    assert not any(a is b for a, b in zip(first, second))  # generated anew, kept nowhere
+    assert coefficients.values() == expected.values()
+    assert coefficients == expected
+    assert coefficients[("z", "x", "1", "y")] == expected[("z", "x", "1", "y")]
     assert 4 not in reduction._WORDS
     pauli_decompose(rho_tensor_identity(np.eye(2) / 2))
     assert list(reduction._WORDS) == [2]
