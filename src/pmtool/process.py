@@ -214,6 +214,16 @@ def constraint_label(spec: PartySpec, index: int) -> str:
     return _constraint_labels(spec, [index])[0]
 
 
+def single_party_split(w: ProcessMatrix) -> tuple:
+    """(W_1, ||W - W_1 (x) I||_F) for a single-party W, W_1 = Tr_out W / d_out, so that
+    W_1 (x) I = L_V W. W_1 is the a = b trace of blocks[i, a, j, b] = W[(i, a), (j, b)]
+    and W - W_1 (x) I the broadcast blocks - W_1[i, j] delta_ab; W_1 (x) I is never built."""
+    dims = w.spec.parties[0]
+    blocks = w.matrix.reshape(dims.d_in, dims.d_out, dims.d_in, dims.d_out)
+    w1 = np.trace(blocks, axis1=1, axis2=3) / dims.d_out
+    return w1, float(np.linalg.norm(blocks - w1[:, None, :, None] * np.eye(dims.d_out)[:, None]))
+
+
 def validate(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityReport:
     """Certify W iff it is Hermitian and PSD within tol and its distance to the
     valid set, sqrt(||W - L_V W||_F^2 + (Tr W - d_out)^2 / D), is at most tol.
@@ -237,9 +247,12 @@ def validate(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityReport:
         violated.append(("trace", abs(trace_gap)))
 
     t = product_expectations(w.matrix, [hermitian_basis(d) for d in w.spec.factor_dims])
-    off_valid = _party_rows(w.spec, t, lambda dims, block: block[0, 0])[1:]
-    distance = math.hypot(float(np.linalg.norm(off_valid)),
-                          trace_gap / math.sqrt(w.spec.total_dim))
+    if len(w.spec.parties) == 1:  # the reduction oracles' formula, so their verdicts agree
+        off_valid = single_party_split(w)[1]
+    else:
+        rows = _party_rows(w.spec, t, lambda dims, block: block[0, 0])
+        off_valid = float(np.linalg.norm(rows[1:]))
+    distance = math.hypot(off_valid, trace_gap / math.sqrt(w.spec.total_dim))
     if distance > tol:
         violated.append(("distance", distance))
 

@@ -4,9 +4,8 @@ For one laboratory the framework collapses to ordinary quantum theory:
 every valid W factors as W_1 (x) I with W_1 a density matrix. One certifier,
 ``_finish_report``, decides this by ``process.validate``'s rule: for one
 party L_V W = W_1 (x) I with W_1 = Tr_out W / d_out, so the distance to the
-valid set is hypot(||W - W_1 (x) I||, (Tr W_1 - 1) sqrt(d_out / d_in)).
-On W's (d_in, d_out, d_in, d_out) view W_1 is one axis trace and the
-distance one broadcast difference; W_1 (x) I is never built.
+valid set is hypot(||W - W_1 (x) I||, (Tr W_1 - 1) sqrt(d_out / d_in)),
+with W_1 and ||W - W_1 (x) I|| from ``process.single_party_split``.
 ``projection_oracle`` applies it to any single party. The constructive
 reductions add constraint sums, which only label a rejection: they force
 every coefficient with output-side Pauli content to zero (single-qubit case
@@ -41,11 +40,10 @@ from .linalg import (
     pauli_word,
     product_expectations,
 )
-from .process import ProcessMatrix, probability
+from .process import ProcessMatrix, probability, single_party_split
 
 MAX_QUBITS = 4
 SUM_PROBE_NORM = math.sqrt(2)  # ||(I + sigma) / 2^n||_F, every constraint sum's probe
-_WORDS = {}  # _pauli_words' tuples by length, kept up to 2 MAX_QUBITS letters
 _LETTER_DIGITS = {"1": 0, "x": 1, "y": 2, "z": 3}
 
 
@@ -62,14 +60,14 @@ class ConstraintRecord:
 
 class PauliCoefficients(Mapping):
     """Read-only mapping from Pauli-word tuples such as ("1", "z") to real
-    coefficients, in itertools.product("1xyz", repeat=length) order. Holds the
-    shared words of ``_pauli_words`` (generated on each iteration when it keeps
-    none) and one tuple of floats; ``dict(...)`` gives a mutable copy."""
+    coefficients, in itertools.product("1xyz", repeat=length) order. Holds one
+    tuple of floats and generates the words on each iteration;
+    ``dict(coefficients.items())`` gives a mutable copy."""
 
-    __slots__ = ("_length", "_words", "_values")
+    __slots__ = ("_length", "_values")
 
     def __init__(self, length: int, values):
-        self._length, self._words, self._values = length, _pauli_words(length), tuple(values)
+        self._length, self._values = length, tuple(values)
 
     def __getitem__(self, word) -> float:
         if not isinstance(word, tuple) or len(word) != self._length:
@@ -83,9 +81,7 @@ class PauliCoefficients(Mapping):
         return self._values[index]
 
     def __iter__(self):
-        if self._words is None:
-            return itertools.product("1xyz", repeat=self._length)
-        return iter(self._words)
+        return itertools.product("1xyz", repeat=self._length)
 
     def __len__(self) -> int:
         return len(self._values)
@@ -128,17 +124,6 @@ def _qubit_count(w: ProcessMatrix) -> int:
     if 2**n != dims.d_in:
         raise DimensionMismatchError(f"{need}, got dimension {dims.d_in}")
     return n
-
-
-def _pauli_words(length: int):
-    """Every Pauli word of ``length`` letters, a tuple of letter tuples in
-    itertools.product("1xyz", repeat=length) order. Built on first use and kept
-    for the life of the process up to 2 MAX_QUBITS letters (7.3 MB at 8); None
-    for longer words, which are never built whole."""
-    words = _WORDS.get(length)
-    if words is None and length <= 2 * MAX_QUBITS:
-        words = _WORDS[length] = tuple(itertools.product("1xyz", repeat=length))
-    return words
 
 
 def pauli_coefficient(matrix: np.ndarray, word) -> float:
@@ -214,15 +199,11 @@ def constraint_sum_single(
 def _finish_report(w: ProcessMatrix, violations, tol: float) -> ReductionReport:
     """Certify W = W_1 (x) I, W_1 = Tr_out W / d_out, iff W is Hermitian and PSD
     within tol and at most tol from the valid set. Appends trace, hermiticity and
-    (for a W that close) eigenvalue rows to ``violations``; rows never decide.
-    W_1 is the a = b trace of blocks[i, a, j, b] = W[(i, a), (j, b)] and W - W_1 (x) I
-    the broadcast blocks - W_1[i, j] delta_ab; W_1 (x) I is never built."""
+    (for a W that close) eigenvalue rows to ``violations``; rows never decide."""
     dims = w.spec.parties[0]
-    blocks = w.matrix.reshape(dims.d_in, dims.d_out, dims.d_in, dims.d_out)
-    w1 = np.trace(blocks, axis1=1, axis2=3) / dims.d_out
+    w1, off = single_party_split(w)
     trace = float(np.trace(w.matrix).real)
     root_d = math.sqrt(dims.total)  # ||I||_F, the trace's probe norm
-    off = float(np.linalg.norm(blocks - w1[:, None, :, None] * np.eye(dims.d_out)[:, None]))
     residual = math.hypot(off, (trace - dims.d_out) / root_d)
     if abs(trace - dims.d_out) > tol * root_d:
         violations.append(ConstraintRecord(f"Tr(W) = {dims.d_out}", trace, float(dims.d_out),
@@ -329,9 +310,11 @@ def parity_sum_violations(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> list:
     lhs = 2**n * (c[0, 0] + c)
     violated = np.abs(lhs - 1.0) > tol * SUM_PROBE_NORM
     violated[:, 0] = False  # an output-identity word pins no coefficient
-    words = _pauli_words(n)
+    rows, cols = np.nonzero(violated)
+    # the n-letter half-words, built only when some sum is off
+    words = tuple(itertools.product("1xyz", repeat=n)) if rows.size else ()
     violations = []
-    for i, j in zip(*np.nonzero(violated)):
+    for i, j in zip(rows, cols):
         alphas, xi_support = _word_bases(words[i])
         betas, eta_support = _word_bases(words[j])
         violations.append(_parity_record(alphas, betas, xi_support, eta_support,

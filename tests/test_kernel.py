@@ -278,7 +278,10 @@ def test_256_by_256_inputs_finish():
     bad = single_party(16, 16, four_qubits.matrix + 1e-3 * pauli_word("1zx1" + "y11z"))
     assert not validate(bad).ok
     assert not projection_oracle(bad).certified
-    assert not reduce_multiqubit(bad).certified
+    report = reduce_multiqubit(bad)
+    assert not report.certified
+    record = next(r for r in report.violations if r.coefficient_label == "w_1zx1,y11z")
+    assert record.coefficient_value == pytest.approx(1e-3, abs=1e-12)
 
     qubit_parties = PartySpec((DimensionPair(2, 2),) * 4)
     factors = [f for k in range(4) for f in (random_density(2, k), np.eye(2))]
@@ -299,11 +302,11 @@ def _random_direction(d, seed):
     return r / np.linalg.norm(r)
 
 
-def _certificates(w):
+def _certificates(w, tol=DEFAULT_TOL):
     """Certificates of the reduction oracles that take W's dimensions."""
-    reports = [projection_oracle(w), reduce_multiqubit(w)]
+    reports = [projection_oracle(w, tol), reduce_multiqubit(w, tol)]
     if w.spec.parties[0].d_in == 2:
-        reports.append(reduce_single_qubit(w))
+        reports.append(reduce_single_qubit(w, tol))
     return [report.certified for report in reports]
 
 
@@ -360,6 +363,18 @@ def test_oracles_agree_at_the_tolerance_scale(n, seed, scale, direction_seed):
     w = single_party(d, d, kron(random_density(d, seed), np.eye(d)) + scale * DEFAULT_TOL * r)
     verdicts = _certificates(w) + [validate(w).ok]
     assert all(verdicts) if scale <= 0.9 else not any(verdicts)
+
+
+@pytest.mark.parametrize("d, seed", [(4, 0), (4, 1), (4, 3), (2, 1)])
+def test_single_party_verdicts_agree_at_zero_tol(d, seed):
+    # validate and the reduction oracles read one single-party distance, so they
+    # agree even where tol lies within rounding of it: rho (x) I_4 is certified by
+    # all of them, and the one-qubit W, non-Hermitian in its last bits, by none
+    w = single_party(d, d, kron(random_density(d, seed), np.eye(d)))
+    report = validate(w, 0.0)
+    assert report.distance == projection_oracle(w, 0.0).residual
+    verdicts = _certificates(w, 0.0) + [report.ok]
+    assert verdicts == [d == 4] * len(verdicts)
 
 
 def _dephase(m, dims, k):

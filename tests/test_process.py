@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,9 +8,11 @@ from pmtool.channels import (
     cj_of_instrument,
     cj_of_kraus,
     measure_prepare_cj,
+    random_cptp,
     random_instrument,
 )
 from pmtool.linalg import (
+    DEFAULT_TOL,
     DimensionMismatchError,
     DimensionPair,
     basis_state,
@@ -212,3 +217,47 @@ def test_validate_matches_reduction_certification():
         )
         for w in (good, bad):
             assert validate(w).ok == reduce_single_qubit(w).certified
+
+
+def _spanning_cjs(dims, seed):
+    """d_in^2 (d_out^2 - 1) + 1 random CPTP CJs, affinely independent: their affine
+    hull is that of every CPTP CJ of the party, {M : Tr_out M = I}."""
+    count = dims.d_in**2 * (dims.d_out**2 - 1) + 1
+    cjs = [cj_of_kraus(random_cptp(dims, dims.total, seed + k)).matrix for k in range(count)]
+    assert np.linalg.matrix_rank(np.array([(m - cjs[0]).ravel() for m in cjs])) == count - 1
+    return cjs
+
+
+@pytest.mark.parametrize("shape", [((2, 2), (2, 2)), ((2, 3), (3, 2)), ((3, 1), (1, 3)),
+                                   ((2, 2),), ((3, 2),)])
+def test_validate_agrees_with_the_operational_oracle(shape):
+    # Validity from its definition, sharing no kernel with validate: W is normalised iff
+    # Tr[W (M_1 (x) ... (x) M_n)] = 1 for every product of CPTP CJs, and by linearity
+    # the products of per-party spanning sets suffice. W's distance to that affine set
+    # is ||D|| for the minimum-norm D with Tr[D M] = 1 - Tr[W M] on every product M.
+    # Tr[D M] = vec(D) . vec(M*), and each product's vec(M*) is one fixed permutation of
+    # the Kronecker product of its parties' vec(M*), so ||D|| is the norm of the gaps
+    # with each party's axis taken through the pseudo-inverse of its rows.
+    spec = PartySpec(tuple(DimensionPair(*dims) for dims in shape))
+    sets = [_spanning_cjs(dims, 100 * i) for i, dims in enumerate(spec.parties)]
+    products = [functools.reduce(np.kron, combo) for combo in itertools.product(*sets)]
+    pinvs = [np.linalg.pinv(np.array([m.conj().ravel() for m in cjs])) for cjs in sets]
+
+    def distance(w):
+        gaps = np.array([1.0 - np.trace(w @ m).real for m in products])
+        gaps = gaps.reshape([len(cjs) for cjs in sets])
+        for axis, pinv in enumerate(pinvs):
+            gaps = np.moveaxis(np.tensordot(pinv, gaps, axes=([1], [axis])), 0, axis)
+        return np.linalg.norm(gaps)
+
+    valid = functools.reduce(np.kron, [f for k, dims in enumerate(spec.parties)
+                                       for f in (random_density(dims.d_in, k), np.eye(dims.d_out))])
+    for seed in (0, 1):
+        # a real combination of the products is orthogonal to the set's directions
+        weights = np.random.default_rng(seed).standard_normal(len(products))
+        direction = np.tensordot(weights, products, axes=1)
+        direction /= np.linalg.norm(direction)
+        for scale in (0.0, 0.9, 1.1, 1e3, 1e6):
+            w = valid + scale * DEFAULT_TOL * direction
+            oracle = np.linalg.eigvalsh(w)[0] >= -DEFAULT_TOL and distance(w) <= DEFAULT_TOL
+            assert validate(ProcessMatrix(spec, w)).ok == oracle == (scale < 1)
