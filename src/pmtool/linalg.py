@@ -228,10 +228,12 @@ def random_hermitian(dim: int, seed: int) -> np.ndarray:
 
 
 def random_density(dim: int, seed: int) -> np.ndarray:
-    """Seeded random density matrix (Wishart construction)."""
+    """Seeded random density matrix (Wishart construction), exactly Hermitian
+    (a matmul leaves g g^dagger Hermitian only to rounding)."""
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
+    rho = (rho + rho.conj().T) / 2
     return rho / np.trace(rho).real
 
 

@@ -19,8 +19,8 @@ or drops each element by how every party splits into identity, input-only
 and output-touching parts. So one per-party walk of one coefficient tensor
 gives both W's Frobenius distance to the valid set (each party led by its
 identity element) and the constraint values (led by its reference CJ's row,
-in closed form), which only label a rejection (``normalization_values``).
-The materialised ``normalization_constraints`` is kept as the reference.
+in closed form), which only label a rejection. ``validate``'s rows are
+tested against the materialised ``normalization_constraints``.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def reference_cptp_cj(dims: DimensionPair) -> CJOperator:
 
 def normalization_constraints(spec: PartySpec) -> list:
     """Finite constraint set equivalent to normalization over all CPTP
-    instruments, materialised (the reference form of ``normalization_values``).
+    instruments, materialised: what ``validate``'s constraint rows are tested against.
 
     Returns (label, matrix, expected) triples: expected 1 when every party
     takes its reference CPTP CJ, 0 as soon as any party takes a traceless
@@ -191,27 +191,12 @@ def _party_rows(spec: PartySpec, t: np.ndarray, lead) -> np.ndarray:
     return t.reshape(-1)
 
 
-def normalization_values(w: ProcessMatrix):
-    """(Tr[W C], expected) for every constraint C of
-    ``normalization_constraints``, as flat arrays in the same order."""
-    t = product_expectations(w.matrix, [hermitian_basis(d) for d in w.spec.factor_dims])
-    values = _party_rows(w.spec, t, _reference_row)
-    expected = np.zeros(values.size)
-    expected[0] = 1.0
-    return values, expected
-
-
 def _constraint_labels(spec: PartySpec, indices) -> list:
     """Labels of the constraints ``indices`` in ``normalization_constraints(spec)``."""
     shape = [1 + p.d_in**2 * (p.d_out**2 - 1) for p in spec.parties]
     factors = np.unravel_index(indices, shape)
     return ["|".join(f"P{i}:dir{k - 1}" if k else f"P{i}:ref" for i, k in enumerate(row))
             for row in zip(*(f.tolist() for f in factors))]
-
-
-def constraint_label(spec: PartySpec, index: int) -> str:
-    """Label of constraint ``index`` in ``normalization_constraints(spec)``."""
-    return _constraint_labels(spec, [index])[0]
 
 
 def single_party_split(w: ProcessMatrix) -> tuple:

@@ -187,6 +187,19 @@ def test_instrument_rejects_non_cptp_total():
         Instrument(Q, (half,))
 
 
+def test_instrument_needs_branches_of_its_dims():
+    with pytest.raises(ValueError, match="at least one branch"):
+        Instrument(Q, ())
+    other = random_cptp(DimensionPair(2, 3), 1, seed=0)
+    with pytest.raises(DimensionMismatchError, match="branch dimensions disagree"):
+        Instrument(Q, (random_cptp(Q, 1, seed=0), other))
+
+
+def test_max_entangled_needs_a_positive_dimension():
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        max_entangled(0)
+
+
 def test_cj_operator_shape_validation():
     with pytest.raises(DimensionMismatchError):
         CJOperator(Q, np.eye(3))

@@ -451,6 +451,31 @@ def test_scalar_doc_is_valid():
     assert w.matrix.shape == (1, 1) and validate(w).ok
 
 
+SCALAR_PARTY = '[{"d_in": 1, "d_out": 1}]'
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 0]", "document must be a JSON object"),
+    (_scalar_doc().replace(SCALAR_PARTY, "[]"), "'parties' must be a nonempty list"),
+    (_scalar_doc().replace(SCALAR_PARTY, SCALAR_PARTY[1:-1]), "'parties' must be a nonempty list"),
+    (_scalar_doc().replace('{"rows"', '[{"rows"').replace("0]]}", "0]]}]"),
+     "'matrix' must be an object"),
+    (_scalar_doc().replace("[[1, 0]]", "[[1, 0], [0, 0]]"), "expected 1 entries, got 2"),
+    (_scalar_doc().replace("[[1, 0]]", '"1"'), "expected 1 entries, got non-list"),
+], ids=["not-object", "parties-empty", "parties-not-list", "matrix-not-object",
+        "entry-count", "entries-not-list"])
+def test_malformed_document_shape_is_usage_error(tmp_path, capsys, text, message):
+    with pytest.raises(pmfile.PMFileError, match=f"^{message}$"):
+        pmfile.parse(text)
+    path = tmp_path / "shape.pm.json"
+    path.write_text(text)
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("fields", [
     {"entry": "9" * 400}, {"entry": "9" * 5000}, {"rows": "1e999"}, {"d_in": "1e999"},
 ], ids=["400-digit-entry", "5000-digit-entry", "rows-1e999", "d_in-1e999"])

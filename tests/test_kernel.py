@@ -5,6 +5,7 @@ Property tests draw their inputs with hypothesis; ``derandomize`` and no
 example database keep every run on the same examples.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -32,9 +33,7 @@ from pmtool.linalg import (
 from pmtool.process import (
     PartySpec,
     ProcessMatrix,
-    constraint_label,
     normalization_constraints,
-    normalization_values,
     reference_cptp_cj,
     single_party,
     validate,
@@ -137,55 +136,70 @@ def test_single_party_certifier_matches_partial_trace_and_kron(d_in, d_out):
             assert abs(report.residual - math.hypot(off, trace_gap)) <= 1e-13
 
 
+def _materialised_rows(w):
+    """(labels, |Tr[W C] - expected|, ||C||_F) over the constraints C of
+    ``normalization_constraints(w.spec)``, in its order, sharing nothing with validate's
+    walk: each party's own materialised constraints form one ``product_expectations``
+    stack, and their labels, renamed from P0 to the party's index, join with '|'."""
+    per_party = [normalization_constraints(PartySpec((party,))) for party in w.spec.parties]
+    stacks = [np.stack([matrix for _, matrix, _ in party]) for party in per_party]
+    values = product_expectations(w.matrix, stacks).ravel()
+    expected = functools.reduce(np.outer, ([e for _, _, e in party] for party in per_party),
+                                np.ones(1)).ravel()
+    norms = functools.reduce(np.outer, (np.linalg.norm(s, axis=(1, 2)) for s in stacks),
+                             np.ones(1)).ravel()
+    labels = ["|".join(label.replace("P0:", f"P{i}:") for i, (label, _, _) in enumerate(combo))
+              for combo in itertools.product(*per_party)]
+    return labels, np.abs(values - expected), norms
+
+
+def _constraint_rows(report):
+    """The rows of a validity report that name a normalization constraint."""
+    return [row for row in report.violated_constraints if row[0].startswith("P")]
+
+
 @PROPERTY
 @given(PARTY_DIMS, SEEDS)
 def test_constraint_values_match_materialised_constraints(dims, seed):
+    """At tol = 0, validate lists every constraint of a random Hermitian W, with the
+    materialised labels in order and |Tr[W C] - expected| as values."""
     spec = PartySpec(tuple(DimensionPair(a, b) for a, b in dims))
     w = ProcessMatrix(spec, random_hermitian(spec.total_dim, seed))
-    values, expected = normalization_values(w)
-    reference = normalization_constraints(spec)
-    assert len(values) == len(reference)
-    for index, (label, matrix, want) in enumerate(reference):
-        assert constraint_label(spec, index) == label
-        assert expected[index] == want
-        assert abs(values[index] - np.trace(w.matrix @ matrix)) <= 1e-12
+    labels, residuals, _ = _materialised_rows(w)
+    rows = _constraint_rows(validate(w, 0.0))
+    assert [label for label, _ in rows] == labels
+    assert np.max(np.abs([value for _, value in rows] - residuals)) <= 1e-12
 
 
 @pytest.mark.parametrize("dims", [((2, 2),), ((2, 3), (3, 2)), ((1, 2), (2, 1)), ((2, 2),) * 3,
                                   ((4, 4),), ((5, 3),), ((3, 5), (1, 2)), ((4, 2), (2, 4))])
 def test_validate_labels_each_violated_constraint_in_index_order(dims):
-    """validate's constraint rows are, in order, (constraint_label(spec, i), residual_i)
-    for every i with residual_i > tol ||C_i||_F, both on a random W and on a valid W
-    moved by tol times a random Hermitian, which meets some constraints and breaks others."""
+    """validate's constraint rows are, in order, (label_i, residual_i) of the materialised
+    constraints for every i with residual_i > tol ||C_i||_F, both on a random W and on a
+    valid W moved by tol times a random Hermitian, which meets some constraints and breaks
+    others."""
     spec = PartySpec(tuple(DimensionPair(a, b) for a, b in dims))
-    norms = np.ones(1)
-    for party in spec.parties:  # ||C||_F: the reference CJ's norm, or 1 for a direction
-        party_norms = np.ones(1 + party.d_in**2 * (party.d_out**2 - 1))
-        party_norms[0] = np.linalg.norm(reference_cptp_cj(party).matrix)
-        norms = np.outer(norms, party_norms).ravel()
     valid = kron_all(kron(random_density(p.d_in, 7), np.eye(p.d_out)) for p in spec.parties)
     noise = random_hermitian(spec.total_dim, 8)
     for m, all_broken in ((noise, True), (valid + DEFAULT_TOL * noise, False)):
         w = ProcessMatrix(spec, m)
-        values, expected = normalization_values(w)
-        residual = np.abs(values - expected)
-        over = np.flatnonzero(residual > DEFAULT_TOL * norms)
-        want = [(constraint_label(spec, i), float(residual[i])) for i in over]
-        rows = [row for row in validate(w).violated_constraints if row[0].startswith("P0:")]
-        assert rows == want
-        assert len(want) == len(values) if all_broken else 0 < len(want) < len(values)
+        labels, residuals, norms = _materialised_rows(w)
+        over = np.flatnonzero(residuals > DEFAULT_TOL * norms)
+        want = [(labels[i], pytest.approx(residuals[i], abs=1e-12)) for i in over]
+        assert _constraint_rows(validate(w)) == want
+        assert len(want) == len(labels) if all_broken else 0 < len(want) < len(labels)
 
 
 @pytest.mark.parametrize("d_in, d_out", [(8, 8), (1, 8), (8, 1), (6, 4), (4, 6)])
 def test_reference_row_is_the_reference_cj_value(d_in, d_out):
-    """The reference constraint's value, read off the closed-form coefficients of the
-    SWAP or of I (x) |0><0|, is Tr[W C] with C built by ``reference_cptp_cj``, at
+    """The reference constraint's row, read off the closed-form coefficients of the
+    SWAP or of I (x) |0><0|, is |Tr[W C] - 1| with C built by ``reference_cptp_cj``, at
     dimensions beyond those that ``PARTY_DIMS`` draws."""
     dims = DimensionPair(d_in, d_out)
     h = random_hermitian(dims.total, 3)
     w = single_party(d_in, d_out, h / np.linalg.norm(h))
-    value = normalization_values(w)[0][0]
-    assert abs(value - np.trace(w.matrix @ reference_cptp_cj(dims).matrix)) <= 1e-12
+    value = dict(validate(w, 0.0).violated_constraints)["P0:ref"]
+    assert abs(value - abs(np.trace(w.matrix @ reference_cptp_cj(dims).matrix) - 1)) <= 1e-12
 
 
 @PROPERTY
@@ -368,13 +382,17 @@ def test_oracles_agree_at_the_tolerance_scale(n, seed, scale, direction_seed):
 @pytest.mark.parametrize("d, seed", [(4, 0), (4, 1), (4, 3), (2, 1)])
 def test_single_party_verdicts_agree_at_zero_tol(d, seed):
     # validate and the reduction oracles read one single-party distance, so they
-    # agree even where tol lies within rounding of it: rho (x) I_4 is certified by
-    # all of them, and the one-qubit W, non-Hermitian in its last bits, by none
-    w = single_party(d, d, kron(random_density(d, seed), np.eye(d)))
+    # agree even where tol lies within rounding of it: rho (x) I is certified by
+    # all of them, and rho (x) I made non-Hermitian in its last bits by none
+    valid = kron(random_density(d, seed), np.eye(d))
+    w = single_party(d, d, valid)
     report = validate(w, 0.0)
     assert report.distance == projection_oracle(w, 0.0).residual
-    verdicts = _certificates(w, 0.0) + [report.ok]
-    assert verdicts == [d == 4] * len(verdicts)
+    assert all(_certificates(w, 0.0) + [report.ok])
+    skewed = valid.copy()
+    skewed[0, 1] += 1e-17j  # W[0, 1] = rho[0, 0] I[0, 1] = 0 takes it exactly; W[1, 0] stays 0
+    w = single_party(d, d, skewed)
+    assert not any(_certificates(w, 0.0) + [validate(w, 0.0).ok])
 
 
 def _dephase(m, dims, k):
@@ -411,8 +429,8 @@ def test_validate_distance_is_the_araujo_projector_distance(dims, seed):
     projected = _araujo_projector(m, spec)
     assert np.max(np.abs(_araujo_projector(projected, spec) - projected)) <= 1e-12
     assert abs(np.vdot(other, projected) - np.vdot(_araujo_projector(other, spec), m)) <= 1e-10
-    values, expected = normalization_values(ProcessMatrix(spec, projected))
-    assert np.max(np.abs(values[expected == 0]), initial=0.0) <= 1e-10
+    rows = _constraint_rows(validate(ProcessMatrix(spec, projected), 0.0))
+    assert max((value for label, value in rows if ":dir" in label), default=0.0) <= 1e-10
 
     w = ProcessMatrix(spec, m)
     trace_gap = np.trace(m).real - spec.d_out_product

@@ -17,6 +17,7 @@ from pmtool.linalg import (
     pauli,
     pauli_eigenvector,
     pauli_word,
+    product_expectations,
     projector,
     random_density,
     random_hermitian,
@@ -120,6 +121,16 @@ def test_partial_trace_dimension_mismatch():
         partial_trace(np.eye(4), [2, 3], keep={0})
 
 
+def test_partial_trace_rejects_a_keep_index_out_of_range():
+    with pytest.raises(DimensionMismatchError, match=r"keep indices \[2\] out of range"):
+        partial_trace(np.eye(4), [2, 2], keep={2})
+
+
+def test_product_expectations_rejects_a_mismatched_matrix():
+    with pytest.raises(DimensionMismatchError, match=r"shape \(3, 3\) does not match"):
+        product_expectations(np.eye(3), [PAULI_STACK])
+
+
 def test_pauli_matrices():
     assert np.array_equal(pauli("1"), I2)
     assert np.array_equal(pauli("y"), np.array([[0, -1j], [1j, 0]]))
@@ -157,6 +168,11 @@ def test_pauli_eigenvectors():
 def test_pauli_eigenvector_rejects_identity():
     with pytest.raises(ValueError):
         pauli_eigenvector("1", 0)
+
+
+def test_pauli_eigenvector_rejects_a_sign_that_is_not_a_bit():
+    with pytest.raises(ValueError, match="s must be a bit, got 2"):
+        pauli_eigenvector("x", 2)
 
 
 def test_min_eigenvalue_basic():

@@ -208,6 +208,12 @@ def test_evaluate_strategy_exact_example():
     assert evaluate_strategy(strategy) == Fraction(3, 4)
 
 
+def test_evaluate_strategy_rejects_an_unknown_order():
+    strategy = CausalStrategy("A_with_B", (0, 0), (0, 0), {})
+    with pytest.raises(ValueError, match="unknown order 'A_with_B'"):
+        evaluate_strategy(strategy)
+
+
 def test_causal_bound_is_three_quarters_exactly():
     start = time.perf_counter()
     details = causal_bound_details()

@@ -17,6 +17,7 @@ from pmtool.linalg import (
     DimensionPair,
     basis_state,
     kron,
+    partial_trace,
     pauli,
     pauli_eigenvector,
     random_density,
@@ -31,6 +32,7 @@ from pmtool.process import (
     trace_dimension_identity,
     validate,
 )
+from pmtool.reduction import projection_oracle
 
 QUBIT_PARTY = DimensionPair(2, 2)
 
@@ -77,6 +79,23 @@ def test_probability_dimension_mismatch():
         probability(w, [cj])
     with pytest.raises(DimensionMismatchError):
         probability(w, [])
+
+
+def test_probability_rejects_an_imaginary_trace():
+    # i 1e-6 I adds i 1e-6 Tr M to a probability, and this branch's CJ has Tr M = 1
+    w = single_party(2, 2, kron(random_density(2, 0), np.eye(2)) + 1e-6j * np.eye(4))
+    cj = measure_prepare_cj(basis_state(0), basis_state(1))
+    with pytest.raises(ValueError, match="imaginary part 1.000e-06"):
+        probability(w, [cj])
+
+
+def test_party_spec_and_process_matrix_check_their_inputs():
+    with pytest.raises(ValueError, match="at least one party"):
+        PartySpec(())
+    with pytest.raises(TypeError, match="DimensionPair instances"):
+        PartySpec(((2, 2),))
+    with pytest.raises(DimensionMismatchError, match=r"shape \(3, 3\) != \(4, 4\)"):
+        ProcessMatrix(PartySpec((QUBIT_PARTY,)), np.eye(3))
 
 
 def test_probability_linearity_in_each_party():
@@ -261,3 +280,26 @@ def test_validate_agrees_with_the_operational_oracle(shape):
             w = valid + scale * DEFAULT_TOL * direction
             oracle = np.linalg.eigvalsh(w)[0] >= -DEFAULT_TOL and distance(w) <= DEFAULT_TOL
             assert validate(ProcessMatrix(spec, w)).ok == oracle == (scale < 1)
+
+
+@pytest.mark.parametrize("d_out", [1, 2, 3, 4])
+@pytest.mark.parametrize("d_in", [1, 2, 3, 4])
+def test_normalised_w_is_w1_tensor_identity_in_every_dimension(d_in, d_out):
+    # The paper's theorem from validity's definition alone, with no L_V and no product
+    # basis: move a random PSD W onto {Tr[W M_k] = 1} for a party's spanning CPTP CJs
+    # M_k by the minimum-norm correction W' = W + A^+ (1 - A vec W), each row of A being
+    # vec(M_k*) so that A vec W lists the Tr[W M_k]. Then W' = W1 (x) I with
+    # W1 = Tr_out W' / d_out, and both validity oracles accept W' where it is PSD.
+    dims = DimensionPair(d_in, d_out)
+    a = np.array([m.conj().ravel() for m in _spanning_cjs(dims, 0)])
+    pinv = np.linalg.pinv(a)
+    for seed in range(3):
+        scale = d_out * np.random.default_rng(seed).uniform(0.5, 2.0)  # Tr W, not d_out
+        w = scale * random_density(dims.total, seed)
+        corrected = (w.ravel() + pinv @ (1.0 - a @ w.ravel())).reshape(w.shape)
+        w1 = partial_trace(corrected, [d_in, d_out], keep={0}) / d_out
+        deviation = np.linalg.norm(corrected - kron(w1, np.eye(d_out)))
+        assert deviation <= 1e-10 * np.linalg.norm(corrected)
+        if np.linalg.eigvalsh(corrected)[0] >= -DEFAULT_TOL:
+            w = single_party(d_in, d_out, corrected)
+            assert validate(w).ok and projection_oracle(w).certified

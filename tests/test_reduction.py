@@ -312,6 +312,19 @@ def test_appendix_rejects_empty_eta_support():
         appendix_constraint_sum(w, ("x", "x"), ("x", "x"), [0], [])
 
 
+def test_constraint_sums_check_rule_size_and_support():
+    qubit = rho_tensor_identity(random_density(2, 3))
+    two_qubits = rho_tensor_identity(random_density(4, 2))
+    with pytest.raises(ValueError, match="unknown rule 'm=1'"):
+        constraint_sum_single(qubit, "x", "z", "m=1")
+    with pytest.raises(DimensionMismatchError, match="needs one qubit in/out"):
+        constraint_sum_single(two_qubits, "x", "z", "m=s")
+    with pytest.raises(DimensionMismatchError, match="need 2 input and output bases"):
+        appendix_constraint_sum(two_qubits, ("x",), ("x", "x"), [0], [0])
+    with pytest.raises(ValueError, match="support index out of range"):
+        appendix_constraint_sum(qubit, ("x",), ("z",), [1], [0])
+
+
 # ------------------------------------------------------- multiqubit route
 
 
