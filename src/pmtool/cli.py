@@ -138,9 +138,10 @@ def _cmd_emit_ocb(args) -> int:
 
 
 def _tolerance(text: str) -> float:
-    if not 0 <= float(text) < float("inf"):  # nan fails both comparisons
-        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
-    return float(text)
+    with contextlib.suppress(ValueError):  # not a number: the message below too
+        if 0 <= (tol := float(text)) < float("inf"):  # nan fails both comparisons
+            return tol
+    raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text}")
 
 
 @functools.cache

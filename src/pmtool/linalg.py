@@ -131,21 +131,14 @@ def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
     return np.einsum(sub, t).reshape(d_keep, d_keep)
 
 
-def _pauli(p: str) -> np.ndarray:
-    try:
-        return _PAULI[p]
-    except KeyError:
-        raise ValueError(f"unknown Pauli index {p!r}") from None
-
-
-def pauli(p: str) -> np.ndarray:
-    """Pauli operator sigma_p for p in {'1','x','y','z'} ('1' is identity)."""
-    return _pauli(p).copy()
-
-
 def pauli_word(indices) -> np.ndarray:
-    """Tensor product of Pauli operators, left factor most significant."""
-    return kron_all(map(_pauli, indices))
+    """Tensor product of Pauli operators sigma_p, p in {'1','x','y','z'} ('1' is
+    identity), left factor most significant, as a fresh array; "z" gives sigma_z."""
+    try:
+        factors = [_PAULI[p] for p in indices]
+    except KeyError as unknown:
+        raise ValueError(f"unknown Pauli index {unknown.args[0]!r}") from None
+    return kron_all(factors)
 
 
 def pauli_eigenvector(p: str, s: int) -> np.ndarray:

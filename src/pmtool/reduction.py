@@ -12,11 +12,12 @@ every coefficient with output-side Pauli content to zero (single-qubit case
 and its n-qubit parity-subset generalization). Each sum equals
 2^n (w_identity + w_target) for the Pauli coefficient w_target it pins, so
 ``reduce_single_qubit`` and ``reduce_multiqubit`` read every sum off one
-Pauli transform of W; ``constraint_sum_single`` and
-``appendix_constraint_sum`` keep the instrument-level form, sums of <v|W|v>
-over the product eigenvectors of the bases one instrument measures and
-prepares, as the reference. ``born_equivalence`` closes the loop by checking
-the trace rule against the standard Kraus-form Born rule.
+Pauli transform of W; ``appendix_constraint_sum`` keeps the
+instrument-level form, sums of <v|W|v> over the product eigenvectors of the
+bases one instrument measures and prepares, as the one reference. At n = 1 it
+gives the paper's single-qubit rules: m = s is xi_support [0], m = 0 is [].
+``born_equivalence`` closes the loop by checking the trace rule against the
+standard Kraus-form Born rule.
 """
 
 from __future__ import annotations
@@ -173,27 +174,6 @@ def _single_record(alpha: str, beta: str, m_rule: str, lhs: float) -> Constraint
     label = f"w_{alpha}{beta}" if m_rule == "m=s" else f"w_1{beta}"
     return ConstraintRecord(f"alpha={alpha}, beta={beta}, rule {m_rule}", lhs, 1.0, label,
                             (lhs - 1.0) / 2)
-
-
-def constraint_sum_single(
-    w: ProcessMatrix, alpha: str, beta: str, m_rule: str
-) -> ConstraintRecord:
-    """Single-qubit constraint sum over the measure-alpha prepare-beta(m(s))
-    instrument.
-
-    For any Hermitian W the sum equals 2 w_11 + 2 w_{alpha,beta} under the
-    rule m=s and 2 w_11 + 2 w_{1,beta} under m=0; it must equal 1 on a valid
-    W, forcing the respective coefficient to zero. It is the parity-subset
-    sum with xi_support [0] (m=s) or [] (m=0).
-    """
-    if alpha not in ("x", "y", "z") or beta not in ("x", "y", "z"):
-        raise ValueError("alpha and beta must be x, y or z")
-    if m_rule not in ("m=s", "m=0"):
-        raise ValueError(f"unknown rule {m_rule!r}")
-    if _qubit_count(w) != 1:
-        raise DimensionMismatchError("constraint_sum_single needs one qubit in/out")
-    xi_support = [0] if m_rule == "m=s" else []
-    return _single_record(alpha, beta, m_rule, _parity_sum(w, alpha + beta, xi_support, [0]))
 
 
 def _finish_report(w: ProcessMatrix, violations, tol: float) -> ReductionReport:

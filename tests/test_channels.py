@@ -21,8 +21,8 @@ from pmtool.linalg import (
     hermiticity_check,
     kron,
     partial_trace,
-    pauli,
     pauli_eigenvector,
+    pauli_word,
     projector,
 )
 
@@ -130,7 +130,7 @@ def test_cj_linearity_over_branches():
 
 def test_is_cptp():
     assert is_cptp(KrausFamily(Q, (np.eye(2),)))
-    assert not is_cptp(KrausFamily(Q, (pauli("x") / 2,)))
+    assert not is_cptp(KrausFamily(Q, (pauli_word("x") / 2,)))
     # the full flatten-reprepare family over all (j, k) is trace preserving
     ops = []
     d_in, d_out = 3, 2

@@ -7,7 +7,7 @@ import pytest
 
 from pmtool import pmfile, reduction
 from pmtool.cli import build_parser, main
-from pmtool.linalg import DimensionPair, kron, pauli, random_density
+from pmtool.linalg import DimensionPair, kron, pauli_word, random_density
 from pmtool.ocbgame import build_w_ocb
 from pmtool.process import PartySpec, ProcessMatrix, single_party, validate
 
@@ -193,7 +193,7 @@ def test_reduce_invalid_file(capsys, invalid_pm_path):
 def test_trace_shift_is_rejected_by_validate_and_reduce(tmp_path, capsys):
     # Residual and W1 trace deviation are 0.9 tol each; the distance to the
     # valid set is 0.9 sqrt(2) tol, the one row that explains the rejection.
-    w = kron(random_density(2, 0), np.eye(2)) + 0.45e-9 * (np.eye(4) + kron(pauli("z"), pauli("z")))
+    w = kron(random_density(2, 0), np.eye(2)) + 0.45e-9 * (np.eye(4) + pauli_word("zz"))
     path = str(tmp_path / "trace-shift.pm.json")
     pmfile.save(path, single_party(2, 2, w))
     code, report = run(capsys, "validate", path)
@@ -207,7 +207,7 @@ def test_trace_shift_is_rejected_by_validate_and_reduce(tmp_path, capsys):
 
 
 def test_reduce_single_qubit_lists_each_word_once(tmp_path, capsys):
-    w = kron(random_density(2, 0), np.eye(2)) + 0.05 * kron(np.eye(2), pauli("z"))
+    w = kron(random_density(2, 0), np.eye(2)) + 0.05 * kron(np.eye(2), pauli_word("z"))
     path = str(tmp_path / "perturbed.pm.json")
     pmfile.save(path, single_party(2, 2, w))
     code, report = run(capsys, "reduce", path)
@@ -622,14 +622,15 @@ def test_emit_ocb_into_directory_is_file_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, tol", [
     ("validate", "nan"), ("validate", "-1"), ("validate", "inf"),
-    ("reduce", "-1e-9"), ("ocb-game", "nan"),
+    ("reduce", "-1e-9"), ("ocb-game", "nan"), ("validate", "abc"),
 ])
 def test_tol_must_be_finite_and_non_negative(tmp_path, capsys, command, tol):
     files = [] if command == "ocb-game" else [str(tmp_path / "w.pm.json")]
     with pytest.raises(SystemExit) as exc:
         main([command, *files, f"--tol={tol}"])
     assert exc.value.code == 2
-    assert "--tol" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"pmtool {command}: error: argument --tol: must be finite and non-negative, got {tol}")
 
 
 def _parties_doc(k):

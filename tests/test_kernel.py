@@ -40,7 +40,6 @@ from pmtool.process import (
 )
 from pmtool.reduction import (
     appendix_constraint_sum,
-    constraint_sum_single,
     pauli_coefficient,
     pauli_decompose,
     projection_oracle,
@@ -254,28 +253,40 @@ def test_reduce_multiqubit_records_match_appendix_sums(n, seed, data):
 SINGLE_ROWS = list(itertools.product("xyz", "xyz", ("m=s", "m=0")))
 
 
+def _single_sum(w, alpha, beta, rule) -> float:
+    """The paper's measure-alpha prepare-beta sum: the appendix sum at n = 1,
+    xi_support [0] under the rule m=s and [] under m=0."""
+    xi_support = [0] if rule == "m=s" else []
+    return appendix_constraint_sum(w, (alpha,), (beta,), xi_support, [0]).lhs_value
+
+
+def _single_description(alpha, beta, rule) -> str:
+    return f"alpha={alpha}, beta={beta}, rule {rule}"
+
+
 @PROPERTY
 @given(SEEDS, st.sampled_from(list(itertools.product("1xyz", repeat=2))),
        st.sampled_from([1e-12, -3.5e-10, 1.5e-9, -1e-6, 1e-3]))
 def test_reduce_single_qubit_records_match_constraint_sums(seed, word, eps):
-    # A random Hermitian W violates all 18 sums, in (alpha, beta, rule) order.
+    # A random Hermitian W violates all 18 sums, in (alpha, beta, rule) order;
+    # each record pins w_{alpha,beta} (m=s) or w_{1,beta} (m=0) at (lhs - 1) / 2.
     w = single_party(2, 2, random_hermitian(4, seed))
     records = [v for v in reduce_single_qubit(w).violations
                if v.coefficient_label.startswith("w_")]
     assert len(records) == len(SINGLE_ROWS)
-    for rec, row in zip(records, SINGLE_ROWS):
-        want = constraint_sum_single(w, *row)
-        assert rec.description == want.description
-        assert rec.coefficient_label == want.coefficient_label
-        assert abs(rec.lhs_value - want.lhs_value) <= 1e-12
-        assert abs(rec.coefficient_value - want.coefficient_value) <= 1e-12
+    for rec, (alpha, beta, rule) in zip(records, SINGLE_ROWS):
+        lhs = _single_sum(w, alpha, beta, rule)
+        assert rec.description == _single_description(alpha, beta, rule)
+        assert rec.coefficient_label == f"w_{alpha if rule == 'm=s' else '1'}{beta}"
+        assert abs(rec.lhs_value - lhs) <= 1e-12
+        assert abs(rec.coefficient_value - (lhs - 1.0) / 2) <= 1e-12
     # Off the valid set by eps sigma-word, 2 |eps| away from tol sqrt(2) by a
     # factor of 2 or more, exactly the rows whose reference sum is off are listed.
     w = single_party(2, 2, kron(random_density(2, seed), np.eye(2)) + eps * pauli_word(word))
     listed = [v.description for v in reduce_single_qubit(w).violations
               if v.coefficient_label.startswith("w_")]
-    off = [want.description for want in (constraint_sum_single(w, *row) for row in SINGLE_ROWS)
-           if abs(want.lhs_value - 1.0) > DEFAULT_TOL * np.sqrt(2)]
+    off = [_single_description(*row) for row in SINGLE_ROWS
+           if abs(_single_sum(w, *row) - 1.0) > DEFAULT_TOL * np.sqrt(2)]
     assert listed == off
     for d in (4, 3):
         with pytest.raises(DimensionMismatchError):
@@ -393,6 +404,26 @@ def test_single_party_verdicts_agree_at_zero_tol(d, seed):
     skewed[0, 1] += 1e-17j  # W[0, 1] = rho[0, 0] I[0, 1] = 0 takes it exactly; W[1, 0] stays 0
     w = single_party(d, d, skewed)
     assert not any(_certificates(w, 0.0) + [validate(w, 0.0).ok])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_validate_and_reduction_oracles_report_one_hermiticity_gap(d):
+    # validate reads ||W - W^dagger||_F / 2 from hermiticity_check, the reduction
+    # certifier computes it itself; the agreement at tol = 0 rests on one float
+    rng = np.random.default_rng(d)
+    for _ in range(5):
+        m = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        w = single_party(d, d, m)
+        label, gap = validate(w).violated_constraints[0]
+        assert label == "hermiticity" and gap > 0
+        reports = [projection_oracle(w)]
+        if d != 3:  # the constructive oracles take n qubits
+            reports.append(reduce_multiqubit(w))
+        if d == 2:
+            reports.append(reduce_single_qubit(w))
+        for report in reports:
+            assert [v.lhs_value for v in report.violations
+                    if v.coefficient_label == "hermiticity"] == [gap]
 
 
 def _dephase(m, dims, k):

@@ -14,7 +14,6 @@ from pmtool.linalg import (
     kron,
     min_eigenvalue,
     partial_trace,
-    pauli,
     pauli_eigenvector,
     pauli_word,
     product_expectations,
@@ -62,12 +61,12 @@ def brute_partial_trace(m, dims, keep):
 
 def test_kron_identities():
     assert np.array_equal(kron(I2, I2), np.eye(4))
-    assert np.array_equal(kron(pauli("z"), pauli("z")), np.diag([1, -1, -1, 1]))
+    assert np.array_equal(kron(pauli_word("z"), pauli_word("z")), np.diag([1, -1, -1, 1]))
 
 
 def test_kron_block_structure():
-    xz = kron(pauli("x"), pauli("z"))
-    z = pauli("z")
+    xz = kron(pauli_word("x"), pauli_word("z"))
+    z = pauli_word("z")
     assert np.array_equal(xz[:2, 2:], z)
     assert np.array_equal(xz[2:, :2], z)
     assert np.array_equal(xz[:2, :2], np.zeros((2, 2)))
@@ -132,23 +131,27 @@ def test_product_expectations_rejects_a_mismatched_matrix():
 
 
 def test_pauli_matrices():
-    assert np.array_equal(pauli("1"), I2)
-    assert np.array_equal(pauli("y"), np.array([[0, -1j], [1j, 0]]))
-    assert np.array_equal(pauli("z"), np.diag([1, -1]))
+    assert np.array_equal(pauli_word("1"), I2)
+    assert np.array_equal(pauli_word("y"), np.array([[0, -1j], [1j, 0]]))
+    assert np.array_equal(pauli_word("z"), np.diag([1, -1]))
+    # each call returns a fresh array: writing into one leaves sigma_z intact
+    pauli_word("z")[:] = 7
+    assert np.array_equal(pauli_word("z"), np.diag([1, -1]))
+    assert np.array_equal(PAULI_STACK[3], np.diag([1, -1]))
     with pytest.raises(ValueError, match="^unknown Pauli index 'q'$"):
-        pauli("q")
+        pauli_word("q")
     with pytest.raises(ValueError, match="^unknown Pauli index 'q'$"):
         pauli_word("xq")
 
 
 def test_pauli_orthogonality_and_unitarity():
     for p in "1xyz":
-        sp = pauli(p)
+        sp = pauli_word(p)
         assert np.array_equal(sp, sp.conj().T)
         assert np.allclose(sp @ sp.conj().T, I2)
     for p, q in itertools.product("1xyz", repeat=2):
         expected = 2.0 if p == q else 0.0
-        assert abs(np.trace(pauli(p) @ pauli(q)) - expected) < 1e-15
+        assert abs(np.trace(pauli_word(p) @ pauli_word(q)) - expected) < 1e-15
 
 
 def test_pauli_eigenvectors():
@@ -160,7 +163,7 @@ def test_pauli_eigenvectors():
         for s in (0, 1):
             v = pauli_eigenvector(p, s)
             assert abs(np.linalg.norm(v) - 1) <= 1e-14
-            assert np.max(np.abs(pauli(p) @ v - (-1) ** s * v)) <= 1e-14
+            assert np.max(np.abs(pauli_word(p) @ v - (-1) ** s * v)) <= 1e-14
             first = v[np.flatnonzero(np.abs(v) > 1e-12)[0]]
             assert first.imag == 0 and first.real > 0
 
@@ -177,7 +180,7 @@ def test_pauli_eigenvector_rejects_a_sign_that_is_not_a_bit():
 
 def test_min_eigenvalue_basic():
     assert min_eigenvalue(I2) == pytest.approx(1.0)
-    assert min_eigenvalue(pauli("z")) == pytest.approx(-1.0)
+    assert min_eigenvalue(pauli_word("z")) == pytest.approx(-1.0)
 
 
 def test_min_eigenvalue_reconstruction():
@@ -201,11 +204,11 @@ def test_hermiticity_check_measures_frobenius_gap():
     assert lowest == float("-inf")
     gap, lowest = hermiticity_check(m, tol=1.0)
     assert lowest == pytest.approx(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
-    gap, lowest = hermiticity_check(pauli("y"))
+    gap, lowest = hermiticity_check(pauli_word("y"))
     assert gap == 0.0 and lowest == pytest.approx(-1.0)
     gap, lowest = hermiticity_check(projector(basis_state(0)))
     assert gap == 0.0 and lowest == pytest.approx(0.0)
-    assert hermiticity_check(pauli("z"))[1] == pytest.approx(-1.0)
+    assert hermiticity_check(pauli_word("z"))[1] == pytest.approx(-1.0)
     gap, lowest = hermiticity_check(np.array([[1, 1], [0, 1]], dtype=complex))  # PSD part
     assert gap > 1e-9 and lowest == float("-inf")
 

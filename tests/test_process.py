@@ -18,8 +18,8 @@ from pmtool.linalg import (
     basis_state,
     kron,
     partial_trace,
-    pauli,
     pauli_eigenvector,
+    pauli_word,
     random_density,
     random_hermitian,
 )
@@ -145,8 +145,7 @@ def test_validate_huge_tol_certifies_without_overflow():
 
 
 def test_validate_perturbed_fails_with_residual():
-    w = single_party(2, 2, kron(np.eye(2), np.eye(2)) / 2
-                     + 0.1 * kron(pauli("z"), pauli("z")))
+    w = single_party(2, 2, kron(np.eye(2), np.eye(2)) / 2 + 0.1 * pauli_word("zz"))
     report = validate(w)
     assert not report.normalization_ok
     # the Z (x) Z direction picks up residual 2 w_zz = 0.2
@@ -202,7 +201,7 @@ def test_trace_dimension_identity_examples():
         single_party(2, 2, np.eye(4, dtype=complex))
     ) == pytest.approx(2.0, abs=1e-12)
     assert trace_dimension_identity(
-        single_party(2, 2, kron(pauli("z"), pauli("z")))
+        single_party(2, 2, pauli_word("zz"))
     ) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -231,9 +230,7 @@ def test_validate_matches_reduction_certification():
     for seed in range(20):
         rho = random_density(2, seed)
         good = rho_tensor_identity(rho)
-        bad = single_party(
-            2, 2, kron(rho, np.eye(2)) + 0.05 * kron(pauli("x"), pauli("y"))
-        )
+        bad = single_party(2, 2, kron(rho, np.eye(2)) + 0.05 * pauli_word("xy"))
         for w in (good, bad):
             assert validate(w).ok == reduce_single_qubit(w).certified
 

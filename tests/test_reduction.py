@@ -10,7 +10,6 @@ from pmtool.linalg import (
     DimensionPair,
     basis_state,
     kron,
-    pauli,
     pauli_word,
     random_density,
     random_hermitian,
@@ -20,7 +19,6 @@ from pmtool.process import single_party
 from pmtool.reduction import (
     appendix_constraint_sum,
     born_equivalence,
-    constraint_sum_single,
     pauli_coefficient,
     pauli_decompose,
     projection_oracle,
@@ -34,6 +32,12 @@ PAULI_NONID = "xyz"
 def rho_tensor_identity(rho):
     d = rho.shape[0]
     return single_party(d, d, kron(rho, np.eye(d)))
+
+
+def single_qubit_sum(w, alpha, beta, rule):
+    """The paper's single-qubit constraint sum: the appendix sum at n = 1, with
+    xi_support [0] under the rule m=s and [] under m=0."""
+    return appendix_constraint_sum(w, (alpha,), (beta,), [0] if rule == "m=s" else [], [0])
 
 
 def perturbed(rho, word, eps):
@@ -59,7 +63,7 @@ def test_decompose_identity_coefficient_of_valid_w():
 
 
 def test_decompose_single_word():
-    w = single_party(2, 2, kron(pauli("z"), pauli("x")))
+    w = single_party(2, 2, pauli_word("zx"))
     decomp = pauli_decompose(w)
     assert decomp.coefficients[("z", "x")] == pytest.approx(1.0)
     assert sum(abs(c) for c in decomp.coefficients.values()) == pytest.approx(1.0)
@@ -68,7 +72,7 @@ def test_decompose_single_word():
 def test_decompose_round_trip():
     # sum_word c_word sigma_word without pauli_word's Kronecker products: each
     # letter axis of the coefficient tensor is contracted with the Pauli stack
-    stack = np.stack([pauli(p) for p in "1xyz"])
+    stack = np.stack([pauli_word(p) for p in "1xyz"])
     for n, seed in ((1, 0), (2, 1), (3, 2)):
         h = random_hermitian(4**n, seed)
         decomp = pauli_decompose(single_party(2**n, 2**n, h))
@@ -165,24 +169,24 @@ def test_constraint_sum_on_valid_w():
     w = rho_tensor_identity(random_density(2, 3))
     for alpha, beta in itertools.product(PAULI_NONID, repeat=2):
         for rule in ("m=s", "m=0"):
-            rec = constraint_sum_single(w, alpha, beta, rule)
+            rec = single_qubit_sum(w, alpha, beta, rule)
             assert rec.lhs_value == pytest.approx(1.0, abs=1e-12)
             assert rec.coefficient_value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_constraint_sum_localizes_zz():
-    w = single_party(2, 2, np.eye(4) / 2 + 0.1 * kron(pauli("z"), pauli("z")))
-    rec = constraint_sum_single(w, "z", "z", "m=s")
+    w = single_party(2, 2, np.eye(4) / 2 + 0.1 * pauli_word("zz"))
+    rec = single_qubit_sum(w, "z", "z", "m=s")
     assert rec.lhs_value == pytest.approx(1.2, abs=1e-13)
-    assert rec.coefficient_label == "w_zz"
+    assert rec.coefficient_label == "w_z,z"
     assert rec.coefficient_value == pytest.approx(0.1, abs=1e-13)
 
 
 def test_constraint_sum_localizes_1x():
-    w = single_party(2, 2, np.eye(4) / 2 + 0.1 * kron(pauli("1"), pauli("x")))
-    rec = constraint_sum_single(w, "z", "x", "m=0")
+    w = single_party(2, 2, np.eye(4) / 2 + 0.1 * pauli_word("1x"))
+    rec = single_qubit_sum(w, "z", "x", "m=0")
     assert rec.lhs_value == pytest.approx(1.2, abs=1e-13)
-    assert rec.coefficient_label == "w_1x"
+    assert rec.coefficient_label == "w_1,x"
     assert rec.coefficient_value == pytest.approx(0.1, abs=1e-13)
 
 
@@ -193,8 +197,8 @@ def test_constraint_sum_algebra_on_arbitrary_hermitian():
         w = single_party(2, 2, h)
         w11 = pauli_coefficient(h, ("1", "1"))
         for alpha, beta in itertools.product(PAULI_NONID, repeat=2):
-            rec_s = constraint_sum_single(w, alpha, beta, "m=s")
-            rec_0 = constraint_sum_single(w, alpha, beta, "m=0")
+            rec_s = single_qubit_sum(w, alpha, beta, "m=s")
+            rec_0 = single_qubit_sum(w, alpha, beta, "m=0")
             assert rec_s.lhs_value == pytest.approx(
                 2 * w11 + 2 * pauli_coefficient(h, (alpha, beta)), abs=1e-12
             )
@@ -203,21 +207,15 @@ def test_constraint_sum_algebra_on_arbitrary_hermitian():
             )
 
 
-@pytest.mark.parametrize("alpha", ["", "xy"])
-def test_constraint_sum_rejects_non_letter_basis(alpha):
-    w = rho_tensor_identity(random_density(2, 3))
-    with pytest.raises(ValueError, match="alpha and beta must be x, y or z"):
-        constraint_sum_single(w, alpha, "z", "m=s")
-
-
 def test_appendix_rejects_empty_basis():
     w = rho_tensor_identity(random_density(2, 3))
-    with pytest.raises(ValueError, match="bases must be x, y or z"):
-        appendix_constraint_sum(w, ("x",), ("",), [0], [0])
+    for beta in ("", "xy"):  # each basis is one letter
+        with pytest.raises(ValueError, match="bases must be x, y or z"):
+            appendix_constraint_sum(w, ("x",), (beta,), [0], [0])
 
 
 def test_reduce_single_qubit_product_input():
-    rho = np.eye(2) / 2 + 0.3 * pauli("z")
+    rho = np.eye(2) / 2 + 0.3 * pauli_word("z")
     report = reduce_single_qubit(rho_tensor_identity(rho))
     assert report.certified
     assert report.residual <= 1e-12
@@ -233,7 +231,7 @@ def test_reduce_single_qubit_maximally_mixed():
 
 
 def test_reduce_single_qubit_detects_perturbation():
-    w = single_party(2, 2, np.eye(4) / 2 + 0.1 * kron(pauli("z"), pauli("z")))
+    w = single_party(2, 2, np.eye(4) / 2 + 0.1 * pauli_word("zz"))
     report = reduce_single_qubit(w)
     assert not report.certified
     labels = {v.coefficient_label: v.coefficient_value for v in report.violations}
@@ -247,19 +245,6 @@ def test_reduce_single_qubit_rejects_bad_trace():
 
 
 # -------------------------------------------------------- appendix route
-
-
-def test_appendix_reduces_to_single_qubit_rules():
-    for seed in range(10):
-        h = random_hermitian(4, seed)
-        w = single_party(2, 2, h)
-        for alpha, beta in itertools.product(PAULI_NONID, repeat=2):
-            rec_m0 = appendix_constraint_sum(w, (alpha,), (beta,), [], [0])
-            want_m0 = constraint_sum_single(w, alpha, beta, "m=0")
-            assert rec_m0.lhs_value == pytest.approx(want_m0.lhs_value, abs=1e-12)
-            rec_ms = appendix_constraint_sum(w, (alpha,), (beta,), [0], [0])
-            want_ms = constraint_sum_single(w, alpha, beta, "m=s")
-            assert rec_ms.lhs_value == pytest.approx(want_ms.lhs_value, abs=1e-12)
 
 
 def test_appendix_on_valid_two_qubit_w():
@@ -315,10 +300,6 @@ def test_appendix_rejects_empty_eta_support():
 def test_constraint_sums_check_rule_size_and_support():
     qubit = rho_tensor_identity(random_density(2, 3))
     two_qubits = rho_tensor_identity(random_density(4, 2))
-    with pytest.raises(ValueError, match="unknown rule 'm=1'"):
-        constraint_sum_single(qubit, "x", "z", "m=1")
-    with pytest.raises(DimensionMismatchError, match="needs one qubit in/out"):
-        constraint_sum_single(two_qubits, "x", "z", "m=s")
     with pytest.raises(DimensionMismatchError, match="need 2 input and output bases"):
         appendix_constraint_sum(two_qubits, ("x",), ("x", "x"), [0], [0])
     with pytest.raises(ValueError, match="support index out of range"):
