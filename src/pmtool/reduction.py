@@ -12,7 +12,8 @@ every coefficient with output-side Pauli content to zero (single-qubit case
 and its n-qubit parity-subset generalization). Each sum equals
 2^n (w_identity + w_target) for the Pauli coefficient w_target it pins, so
 ``reduce_single_qubit`` and ``reduce_multiqubit`` read every sum off one
-Pauli transform of W; ``appendix_constraint_sum`` keeps the
+Pauli transform of W, a real Walsh-Hadamard transform between two gathers
+(``_pauli_coefficients``); ``appendix_constraint_sum`` keeps the
 instrument-level form, sums of <v|W|v> over the product eigenvectors of the
 bases one instrument measures and prepares, as the one reference. At n = 1 it
 gives the paper's single-qubit rules: m = s is xi_support [0], m = 0 is [].
@@ -26,6 +27,7 @@ import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -33,7 +35,6 @@ from .channels import KrausFamily, cj_of_kraus
 from .linalg import (
     DEFAULT_TOL,
     EIGENPROJECTOR_STACK,
-    PAULI_STACK,
     DimensionMismatchError,
     NonHermitianError,
     hermiticity_check,
@@ -139,12 +140,40 @@ def pauli_coefficient(matrix: np.ndarray, word) -> float:
     return value.real
 
 
+def _pauli_plan(k: int) -> tuple:
+    """``_pauli_coefficients``'s gather and output indices, phases and Hadamard
+    factors H_floor(k/2), H_ceil(k/2) on k qubits, built a qubit at a time."""
+    r = np.arange(2**k)
+    gather = np.bitwise_xor.outer(r * (2**k + 1), r).ravel()  # r 2^k + (r ^ a)
+    x_bits, z_bits = np.array([0, 1, 1, 0]), np.array([0, 0, 1, 1])  # of 1, x, y, z
+    out, phase = np.zeros(1, dtype=np.intp), np.full(1, 0.5**k, dtype=complex)
+    for q in reversed(range(k)):  # qubit q becomes the leading letter
+        out = (((z_bits << 2 * k - 1 - q) + (x_bits << k - 1 - q))[:, None] + out).ravel()
+        phase = (np.where(x_bits & z_bits, 1j, 1)[:, None] * phase).ravel()
+    hadamards = (reduce(np.kron, [[[1, 1], [1, -1]]] * m, np.ones((1, 1)))
+                 for m in (k // 2, k - k // 2))
+    return (gather, out, phase, *hadamards)
+
+
+# the plans of every n <= MAX_QUBITS, 2.2 MB together; a larger one is built per call
+_cached_pauli_plan = lru_cache(maxsize=MAX_QUBITS + 1)(_pauli_plan)
+
+
 def _pauli_coefficients(w: ProcessMatrix) -> np.ndarray:
-    """Tr(W sigma-word) / 4^n for every Pauli word of a single-party
-    n-qubit-in/out W, by the tensorised transform: the Pauli stack contracted
-    on each of 2n qubits. A complex (4,) * 2n tensor, inputs first."""
+    """Tr(W sigma-word) / 4^n for every Pauli word of a single-party n-qubit-in/out
+    W, a complex (4,) * 2n tensor, inputs first. The word with x-bits a and z-bits b
+    (y sets both) is i^|a&b| X^a Z^b, so Tr(W sigma) = i^|a&b| sum_r W[r, r^a]
+    (-1)^(r.b): one gather G[r, a] = W[r, r^a], a +-1 transform over r on G's float
+    view (re and im interleaved) as two real matmuls, then one gather of each word's
+    (b, a) in "1xyz" order and its exact phase i^|a&b| / 4^n."""
     n = _qubit_count(w)
-    return product_expectations(w.matrix, [PAULI_STACK] * (2 * n)) / 4**n
+    plan = _cached_pauli_plan if n <= MAX_QUBITS else _pauli_plan
+    gather, out, phase, h1, h2 = plan(2 * n)
+    t = h1 @ w.matrix.ravel()[gather].view(float).reshape(len(h1), -1)
+    t = np.matmul(h2, t.reshape(len(h1), len(h2), -1))
+    c = t.view(complex).ravel()[out]
+    c *= phase
+    return c.reshape((4,) * 2 * n)
 
 
 def pauli_decompose(w: ProcessMatrix) -> PauliDecomposition:
@@ -153,7 +182,8 @@ def pauli_decompose(w: ProcessMatrix) -> PauliDecomposition:
     n = values.ndim // 2
     if np.max(np.abs(values.imag)) > DEFAULT_TOL / 2**n:
         raise NonHermitianError("decomposition of a non-Hermitian matrix")
-    return PauliDecomposition(n, PauliCoefficients(2 * n, values.real.ravel().tolist()))
+    values = values.real.ravel()  # drops the complex tensor before the floats are made
+    return PauliDecomposition(n, PauliCoefficients(2 * n, values.tolist()))
 
 
 def _parity_sum(w: ProcessMatrix, bases, xi_support, eta_support) -> float:
@@ -167,13 +197,6 @@ def _parity_sum(w: ProcessMatrix, bases, xi_support, eta_support) -> float:
     bits = np.indices(t.shape)
     parity = bits[list(xi_support) + [n + j for j in eta_support]].sum(axis=0) % 2
     return float(t[parity == 0].sum()) / 2 ** (n - 1)
-
-
-def _single_record(alpha: str, beta: str, m_rule: str, lhs: float) -> ConstraintRecord:
-    """The record of one single-qubit sum, labelled by the coefficient it pins."""
-    label = f"w_{alpha}{beta}" if m_rule == "m=s" else f"w_1{beta}"
-    return ConstraintRecord(f"alpha={alpha}, beta={beta}, rule {m_rule}", lhs, 1.0, label,
-                            (lhs - 1.0) / 2)
 
 
 def _finish_report(w: ProcessMatrix, violations, tol: float) -> ReductionReport:
@@ -209,16 +232,20 @@ def reduce_single_qubit(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> Reduction
 
     Each is read off one Pauli transform: 2 (w_11 + w_{alpha,beta}) under the
     rule m=s, 2 (w_11 + w_{1,beta}) under m=0. Sums off by more than tol sqrt(2)
-    are recorded in (alpha, beta, rule) order; ``_finish_report`` certifies.
+    are recorded, with the coefficient each pins, in (alpha, beta, rule) order;
+    ``_finish_report`` certifies.
     """
     if _qubit_count(w) != 1:
         raise DimensionMismatchError("reduce_single_qubit needs one qubit in/out")
-    c = _pauli_coefficients(w).real
-    lhs, i = 2 * (c[0, 0] + c), "1xyz".index
-    rows = ((alpha, beta, rule, float(lhs[i(alpha) if rule == "m=s" else 0, i(beta)]))
-            for alpha, beta, rule in itertools.product("xyz", "xyz", ("m=s", "m=0")))
-    return _finish_report(w, [_single_record(*row) for row in rows
-                              if abs(row[3] - 1.0) > tol * SUM_PROBE_NORM], tol)
+    c, i, violations = _pauli_coefficients(w).real.tolist(), "1xyz".index, []
+    for alpha, beta, rule in itertools.product("xyz", "xyz", ("m=s", "m=0")):
+        pinned = c[i(alpha) if rule == "m=s" else 0][i(beta)]
+        lhs = 2 * (c[0][0] + pinned)
+        if abs(lhs - 1.0) > tol * SUM_PROBE_NORM:
+            label = f"w_{alpha}{beta}" if rule == "m=s" else f"w_1{beta}"
+            violations.append(ConstraintRecord(f"alpha={alpha}, beta={beta}, rule {rule}",
+                                               lhs, 1.0, label, pinned))
+    return _finish_report(w, violations, tol)
 
 
 def _parity_record(alphas, betas, xi_support, eta_support, lhs: float,

@@ -316,6 +316,19 @@ def test_decompose_report(tmp_path, capsys, valid_pm_path):
         ]
 
 
+def test_one_by_one_file_decomposes_and_reduces(tmp_path, capsys):
+    # n = 0: the one (empty) Pauli word carries Tr W; W = 1 is the valid scalar
+    path = tmp_path / "scalar.pm.json"
+    for entry, code_want in ((1.0, 0), (0.5, 1)):
+        pmfile.save(path, single_party(1, 1, np.full((1, 1), entry)))
+        code, report = run(capsys, "decompose", str(path))
+        assert code == 0 and report["results"] == {"n_qubits": 0, "coefficients": {",": entry}}
+        code, report = run(capsys, "reduce", str(path))
+        assert code == code_want
+        assert report["results"]["constructive"] == report["results"]["projection"]
+        assert report["results"]["projection"]["w1_trace"] == entry
+
+
 def test_pretty_output(capsys, valid_pm_path):
     code = main(["validate", valid_pm_path, "--pretty"])
     out = capsys.readouterr().out

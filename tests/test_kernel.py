@@ -17,8 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmtool import reduction
 from pmtool.linalg import (
     DEFAULT_TOL,
+    PAULI_STACK,
     DimensionMismatchError,
     DimensionPair,
     NonHermitianError,
@@ -212,6 +214,35 @@ def test_pauli_decompose_matches_pauli_coefficient(n, seed):
 
 
 @PROPERTY
+@given(st.integers(0, 4), SEEDS)
+def test_pauli_transform_matches_the_tensorised_transform(n, seed):
+    # On complex non-Hermitian W, whose imaginary parts NonHermitianError reads: the
+    # gather and Walsh-Hadamard transform against the Pauli stack contracted on each
+    # of 2n qubits, and (n <= 2) its real parts against the Hermitian part's words.
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((4**n, 4**n)) + 1j * rng.standard_normal((4**n, 4**n))
+    values = reduction._pauli_coefficients(single_party(2**n, 2**n, m))
+    want = product_expectations(m, [PAULI_STACK] * (2 * n)) / 4**n
+    assert values.shape == want.shape == (4,) * (2 * n)
+    assert np.abs(values - want).max() <= 1e-13 * np.abs(m).max()
+    if n <= 2:
+        h = (m + m.conj().T) / 2
+        for word in itertools.product("1xyz", repeat=2 * n):
+            value = values[tuple("1xyz".index(p) for p in word)].real
+            assert abs(value - pauli_coefficient(h, word)) <= 1e-13 * np.abs(m).max()
+
+
+def test_pauli_transform_above_max_qubits_keeps_no_plan():
+    # n = 5 is above MAX_QUBITS: its plan is built for the one call and not cached
+    m = random_hermitian(1024, 5)
+    before = reduction._cached_pauli_plan.cache_info()
+    values = reduction._pauli_coefficients(single_party(32, 32, m))
+    assert reduction._cached_pauli_plan.cache_info() == before
+    want = product_expectations(m, [PAULI_STACK] * 10) / 4**5
+    assert np.abs(values - want).max() <= 1e-13 * np.abs(m).max()
+
+
+@PROPERTY
 @given(st.integers(1, 3), SEEDS, st.sampled_from([0.0, 1e-6, 1e-3, 0.05]), SEEDS)
 def test_constructive_and_projection_oracles_agree(n, seed, eps, word_seed):
     d = 2**n
@@ -269,17 +300,18 @@ def _single_description(alpha, beta, rule) -> str:
        st.sampled_from([1e-12, -3.5e-10, 1.5e-9, -1e-6, 1e-3]))
 def test_reduce_single_qubit_records_match_constraint_sums(seed, word, eps):
     # A random Hermitian W violates all 18 sums, in (alpha, beta, rule) order;
-    # each record pins w_{alpha,beta} (m=s) or w_{1,beta} (m=0) at (lhs - 1) / 2.
-    w = single_party(2, 2, random_hermitian(4, seed))
+    # each record pins w_{alpha,beta} (m=s) or w_{1,beta} (m=0) and reports it.
+    h = random_hermitian(4, seed)
+    w = single_party(2, 2, h)
     records = [v for v in reduce_single_qubit(w).violations
                if v.coefficient_label.startswith("w_")]
     assert len(records) == len(SINGLE_ROWS)
     for rec, (alpha, beta, rule) in zip(records, SINGLE_ROWS):
-        lhs = _single_sum(w, alpha, beta, rule)
+        pinned = (alpha if rule == "m=s" else "1", beta)
         assert rec.description == _single_description(alpha, beta, rule)
-        assert rec.coefficient_label == f"w_{alpha if rule == 'm=s' else '1'}{beta}"
-        assert abs(rec.lhs_value - lhs) <= 1e-12
-        assert abs(rec.coefficient_value - (lhs - 1.0) / 2) <= 1e-12
+        assert rec.coefficient_label == "w_" + "".join(pinned)
+        assert abs(rec.lhs_value - _single_sum(w, alpha, beta, rule)) <= 1e-12
+        assert abs(rec.coefficient_value - pauli_coefficient(h, pinned)) <= 1e-12
     # Off the valid set by eps sigma-word, 2 |eps| away from tol sqrt(2) by a
     # factor of 2 or more, exactly the rows whose reference sum is off are listed.
     w = single_party(2, 2, kron(random_density(2, seed), np.eye(2)) + eps * pauli_word(word))
@@ -291,6 +323,15 @@ def test_reduce_single_qubit_records_match_constraint_sums(seed, word, eps):
     for d in (4, 3):
         with pytest.raises(DimensionMismatchError):
             reduce_single_qubit(single_party(d, d, np.eye(d * d) / d))
+
+
+def test_both_constructive_oracles_report_the_pinned_coefficient_off_trace_two():
+    # W = I_4 has trace 4: every sum reads 2, and every coefficient a sum pins is 0
+    w = single_party(2, 2, np.eye(4))
+    for oracle, count in ((reduce_single_qubit, 18), (reduce_multiqubit, 12)):
+        records = [v for v in oracle(w).violations if v.coefficient_label.startswith("w_")]
+        assert len(records) == count
+        assert all(v.lhs_value == 2.0 and v.coefficient_value == 0.0 for v in records)
 
 
 def test_256_by_256_inputs_finish():
