@@ -86,13 +86,6 @@ class CJOperator:
         object.__setattr__(self, "matrix", m)
 
 
-def max_entangled(d: int) -> np.ndarray:
-    """Non-normalized |ME> = sum_{j} |j>|j>, squared norm d."""
-    if d < 1:
-        raise ValueError("dimension must be positive")
-    return np.eye(d, dtype=complex).reshape(-1)
-
-
 def cj_of_kraus(f: KrausFamily) -> CJOperator:
     """CJ operator sum_{i,j} |i><j| (x) E(|j><i|)."""
     ops = np.stack(f.operators)

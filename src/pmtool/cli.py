@@ -43,7 +43,7 @@ def _cmd_validate(args) -> int:
     report = validate(w, tol=args.tol)
     results = {
         "psd_ok": report.psd_ok,
-        # -inf (no spectrum: W is not Hermitian) has no JSON token; write null.
+        # -inf (not Hermitian) and NaN (PSD certified, no spectrum) have no JSON token: null.
         "min_eigenvalue": report.min_eigenvalue if np.isfinite(report.min_eigenvalue) else None,
         "trace_ok": report.trace_ok,
         "trace_value": report.trace_value,

@@ -170,12 +170,31 @@ def unit_vector(v: np.ndarray, name: str) -> np.ndarray:
     return v
 
 
+def hermiticity_gap(m: np.ndarray) -> float:
+    """The hermiticity gap ||m - m^dagger||_F / 2."""
+    return float(np.linalg.norm(m - np.conj(m).T)) / 2
+
+
 def hermiticity_check(m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple:
-    """(gap, lowest): the hermiticity gap ||m - m^dagger||_F / 2 and the
-    smallest eigenvalue of the Hermitian part, -inf (not computed) when gap > tol."""
+    """(gap, lowest): the hermiticity gap and the smallest eigenvalue of the
+    Hermitian part, -inf (not computed) unless gap <= tol. The exact measure."""
     m = np.asarray(m, dtype=complex)
-    gap = float(np.linalg.norm(m - m.conj().T)) / 2
+    gap = hermiticity_gap(m)
     return gap, float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0]) if gap <= tol else -np.inf
+
+
+def psd_lowest(m: np.ndarray, tol: float = DEFAULT_TOL) -> float:
+    """NaN when a Cholesky factor of H + tol I, H = (m + m^dagger) / 2, certifies lambda_min(H)
+    > -tol (to rounding, ~1e-16 ||H||); else H's smallest eigenvalue, as hermiticity_check's."""
+    m = np.asarray(m, dtype=complex)
+    h = (m + m.conj().T) / 2
+    shifted = h.copy()
+    shifted.reshape(-1)[::len(h) + 1] += tol  # the diagonal, as a view
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return float(np.linalg.eigvalsh(h)[0])
+    return np.nan
 
 
 def min_eigenvalue(m: np.ndarray, tol: float = DEFAULT_TOL) -> float:
@@ -228,10 +247,3 @@ def random_density(dim: int, seed: int) -> np.ndarray:
     rho = g @ g.conj().T
     rho = (rho + rho.conj().T) / 2
     return rho / np.trace(rho).real
-
-
-def random_state(dim: int, seed: int) -> np.ndarray:
-    """Seeded Haar-ish random unit vector."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)

@@ -23,7 +23,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channels import CJOperator, measure_prepare_cj
 from .linalg import (
     DEFAULT_TOL,
     EIGENPROJECTOR_STACK,
@@ -36,7 +35,7 @@ from .linalg import (
     projector,
     unit_vector,
 )
-from .process import PartySpec, ProcessMatrix, probability
+from .process import PartySpec, ProcessMatrix
 
 P_GAME_QUANTUM = (2 + np.sqrt(2)) / 4
 
@@ -92,30 +91,6 @@ def build_w_ocb() -> ProcessMatrix:
     w = (np.eye(16, dtype=complex) + (izzi + zixz) / np.sqrt(2)) / 4
     w.flags.writeable = False
     return ProcessMatrix(_GAME_PARTIES, w)
-
-
-def alice_cj(a: int, x: int) -> CJOperator:
-    """Alice measures Z obtaining x and sends |a>: CJ = P_|x> (x) P_|a>."""
-    return measure_prepare_cj(basis_state(x), basis_state(a))
-
-
-def bob_cj(b: int, b_prime: int, y: int, eta: np.ndarray) -> CJOperator:
-    """Bob's strategy CJ.
-
-    b'=1: measure Z obtaining y, send |eta>.
-    b'=0: measure X obtaining the eigenvalue (-1)^y, send |b xor y>.
-    """
-    eta = unit_vector(eta, "eta")
-    if b_prime == 1:
-        return measure_prepare_cj(basis_state(y), eta)
-    return measure_prepare_cj(pauli_eigenvector("x", y), basis_state((b + y) % 2))
-
-
-def outcome_probability(
-    w: ProcessMatrix, a: int, b: int, b_prime: int, x: int, y: int, eta: np.ndarray
-) -> float:
-    """P(x, y | a, b, b') under the game strategies; the reference for ``evaluate_game``."""
-    return probability(w, [alice_cj(a, x), bob_cj(b, b_prime, y, eta)])
 
 
 def evaluate_game(w: ProcessMatrix, eta: np.ndarray = None) -> GameResult:

@@ -38,8 +38,10 @@ from .linalg import (
     DimensionPair,
     hermitian_basis,
     hermiticity_check,
+    hermiticity_gap,
     kron_all,
     product_expectations,
+    psd_lowest,
 )
 
 
@@ -209,17 +211,38 @@ def single_party_split(w: ProcessMatrix) -> tuple:
     return w1, float(np.linalg.norm(blocks - w1[:, None, :, None] * np.eye(dims.d_out)[:, None]))
 
 
+def single_party_psd(w1: np.ndarray, off: float, tol: float) -> tuple:
+    """(lambda_min(W_1), whether that certifies W's Hermitian part H >= -tol) for a
+    single party's split (W_1, off). H is within off of W_1 (x) I, whose spectrum is
+    W_1's, so lambda_min(H) >= lambda_min(W_1) - off (Weyl): the PSD rule for one party."""
+    w1_lowest = hermiticity_check(w1, tol)[1]
+    return w1_lowest, w1_lowest - off >= -tol
+
+
 def validate(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityReport:
     """Certify W iff it is Hermitian and PSD within tol and its distance to the
     valid set, sqrt(||W - L_V W||_F^2 + (Tr W - d_out)^2 / D), is at most tol.
+
+    PSD is decided by ``single_party_psd`` for one party, ``psd_lowest`` for several;
+    W's lowest eigenvalue is computed only when that fails (``min_eigenvalue`` NaN).
 
     Rows label a rejection: hermiticity or the smallest eigenvalue, the trace,
     the distance, then each constraint whose residual / ||C||_F exceeds tol (a
     quotient, so a tol whose bound tol ||C||_F passes the largest float lists
     no row instead of overflowing)."""
     violated = []
-
-    gap, mineig = hermiticity_check(w.matrix, tol)
+    single = len(w.spec.parties) == 1
+    if single:  # the reduction oracles' split, so their verdicts agree
+        w1, off_valid = single_party_split(w)
+    gap = hermiticity_gap(w.matrix)
+    if not gap <= tol:  # NaN entries fail too
+        mineig = -np.inf  # no spectrum: W is not Hermitian
+    elif single:
+        certified = single_party_psd(w1, off_valid, tol)[1]
+        mineig = np.nan if certified else hermiticity_check(w.matrix, tol)[1]
+    else:
+        mineig = psd_lowest(w.matrix, tol)
+    psd_ok = gap <= tol and not mineig < -tol  # NaN: certified without the spectrum
     if gap > tol:
         violated.append(("hermiticity", gap))
     elif mineig < -tol:
@@ -232,9 +255,7 @@ def validate(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityReport:
         violated.append(("trace", abs(trace_gap)))
 
     t = product_expectations(w.matrix, [hermitian_basis(d) for d in w.spec.factor_dims])
-    if len(w.spec.parties) == 1:  # the reduction oracles' formula, so their verdicts agree
-        off_valid = single_party_split(w)[1]
-    else:
+    if not single:
         rows = _party_rows(w.spec, t, lambda dims, block: block[0, 0])
         off_valid = float(np.linalg.norm(rows[1:]))
     distance = math.hypot(off_valid, trace_gap / math.sqrt(w.spec.total_dim))
@@ -254,7 +275,7 @@ def validate(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityReport:
     over = np.flatnonzero(per_probe > tol)
     violated += zip(_constraint_labels(w.spec, over), residuals[over].tolist())
 
-    return ValidityReport(psd_ok=mineig >= -tol, min_eigenvalue=mineig,
+    return ValidityReport(psd_ok=psd_ok, min_eigenvalue=mineig,
                           normalization_ok=distance <= tol, distance=distance,
                           worst_residual=float(residuals.max()), trace_ok=trace_ok,
                           trace_value=trace_value, violated_constraints=tuple(violated))

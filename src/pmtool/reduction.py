@@ -38,11 +38,12 @@ from .linalg import (
     DimensionMismatchError,
     NonHermitianError,
     hermiticity_check,
+    hermiticity_gap,
     kron_all,  # not called here; perfbench/selftest.py checks that its tracer rebinds it
     pauli_word,
     product_expectations,
 )
-from .process import ProcessMatrix, probability, single_party_split
+from .process import ProcessMatrix, probability, single_party_psd, single_party_split
 
 MAX_QUBITS = 4
 SUM_PROBE_NORM = math.sqrt(2)  # ||(I + sigma) / 2^n||_F, every constraint sum's probe
@@ -211,18 +212,16 @@ def _finish_report(w: ProcessMatrix, violations, tol: float) -> ReductionReport:
     if abs(trace - dims.d_out) > tol * root_d:
         violations.append(ConstraintRecord(f"Tr(W) = {dims.d_out}", trace, float(dims.d_out),
                                            "trace", trace / dims.d_out - 1.0))
-    gap = float(np.linalg.norm(w.matrix - w.matrix.conj().T)) / 2
-    w1_lowest = hermiticity_check(w1, tol)[1]  # W_1's gap is at most W's
-    # W's lowest eigenvalue is at least W_1's minus ||W - W_1 (x) I||_F (Weyl), so
-    # W's own spectrum is computed only when the verdict rests on it.
-    lowest = w1_lowest - off
+    gap = hermiticity_gap(w.matrix)
+    w1_lowest, psd = single_party_psd(w1, off, tol)
     if gap > tol:
         violations.append(ConstraintRecord("W = W^dagger", gap, 0.0, "hermiticity", gap))
-    elif residual <= tol and lowest < -tol:
+    elif residual <= tol and not psd:  # W's own spectrum only when the verdict rests on it
         lowest = hermiticity_check(w.matrix, tol)[1]
-        if lowest < -tol:
+        psd = lowest >= -tol
+        if not psd:
             violations.append(ConstraintRecord("W >= 0", lowest, 0.0, "min_eigenvalue", lowest))
-    return ReductionReport(certified=residual <= tol and gap <= tol and lowest >= -tol, w1=w1,
+    return ReductionReport(certified=residual <= tol and gap <= tol and psd, w1=w1,
                            residual=residual, violations=tuple(violations),
                            w1_psd=w1_lowest >= -tol, w1_trace=trace / dims.d_out)
 

@@ -8,7 +8,6 @@ from pmtool.channels import (
     cj_of_instrument,
     cj_of_kraus,
     is_cptp,
-    max_entangled,
     measure_prepare_cj,
     random_cp_map,
     random_cptp,
@@ -25,6 +24,7 @@ from pmtool.linalg import (
     pauli_word,
     projector,
 )
+from reference import max_entangled
 
 Q = DimensionPair(2, 2)
 

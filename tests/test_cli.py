@@ -120,6 +120,29 @@ def test_emit_ocb_then_validate(tmp_path, capsys):
     assert report["results"]["violated_constraints"] == []
 
 
+@pytest.mark.parametrize("w", [single_party(2, 2, kron(random_density(2, 0), np.eye(2))),
+                               build_w_ocb()], ids=["rho (x) I", "W_OCB"])
+def test_validate_certified_report_has_no_eigenvalue(tmp_path, capsys, w):
+    # PSD is certified without W's spectrum, so there is no lowest eigenvalue to print
+    path = str(tmp_path / "w.pm.json")
+    pmfile.save(path, w)
+    assert main(["validate", path]) == 0
+    out = capsys.readouterr().out
+    assert '"psd_ok": true, "min_eigenvalue": null' in out
+    assert json.loads(out, parse_constant=_reject_constant)["status"] == "pass"
+
+
+def test_validate_non_psd_report_has_the_exact_eigenvalue(tmp_path, capsys):
+    path = str(tmp_path / "w.pm.json")
+    pmfile.save(path, single_party(2, 2, kron(np.diag([1.1, -0.1]), np.eye(2))))
+    code, report = run(capsys, "validate", path)
+    assert code == 1 and report["status"] == "fail"
+    results = report["results"]
+    assert results["psd_ok"] is False
+    assert results["min_eigenvalue"] == -0.1
+    assert results["violated_constraints"] == [["min_eigenvalue", results["min_eigenvalue"]]]
+
+
 def test_validate_fail_exit_code(capsys, invalid_pm_path):
     code, report = run(capsys, "validate", invalid_pm_path)
     assert code == 1

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pmtool import reduction
@@ -26,6 +26,7 @@ from pmtool.linalg import (
     NonHermitianError,
     kron,
     kron_all,
+    min_eigenvalue,
     partial_trace,
     pauli_word,
     product_expectations,
@@ -38,6 +39,8 @@ from pmtool.process import (
     normalization_constraints,
     reference_cptp_cj,
     single_party,
+    single_party_psd,
+    single_party_split,
     validate,
 )
 from pmtool.reduction import (
@@ -62,6 +65,11 @@ def _reference_size(dims) -> int:
 PARTY_DIMS = (
     st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3)
     .filter(lambda dims: _reference_size(dims) <= 2_000_000)
+)
+
+SMALL_PARTY_DIMS = (
+    st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3)
+    .filter(lambda dims: np.prod([a * b for a, b in dims]) <= 64)
 )
 
 
@@ -396,6 +404,7 @@ def test_spectrum_of_w_decides_every_oracle(block, lowest):
     tol = DEFAULT_TOL
     block_z = kron(np.diag(np.eye(2)[block]), pauli_word("z"))
     w = single_party(2, 2, kron(np.diag([1 + tol / 2, -tol / 2]), np.eye(2)) + 0.7 * tol * block_z)
+    assert not single_party_psd(*single_party_split(w), tol)[1]  # Weyl's bound leaves it open
     report = validate(w)
     assert report.normalization_ok and report.min_eigenvalue == pytest.approx(lowest * tol)
     projection = projection_oracle(w)
@@ -447,10 +456,74 @@ def test_single_party_verdicts_agree_at_zero_tol(d, seed):
     assert not any(_certificates(w, 0.0) + [validate(w, 0.0).ok])
 
 
+def _pure_density(d, seed):
+    """|v><v| for a random unit v whose |v_i|^2 are multiples of 1/16, written on the
+    diagonal exactly: Tr = 1 exactly, and the d - 1 zero eigenvalues come out at +-1e-17."""
+    rng = np.random.default_rng(seed)
+    p = rng.integers(1, 16 // d + 1, size=d) / 16
+    p[-1] = 1 - p[:-1].sum()
+    v = np.sqrt(p) * np.exp(2j * np.pi * rng.random(d))
+    rho = np.outer(v, v.conj())
+    np.fill_diagonal(rho, p)
+    return rho
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_single_party_verdicts_agree_on_pure_states_at_zero_tol(d):
+    # pure rho (x) I lies at distance exactly 0 for d = 2, 4, so its PSD step decides;
+    # validate and the reduction oracles read the sign of W_1's +-1e-17, not W's, by
+    # one rule, so they agree where the sign of a rounding error is the verdict
+    for seed in range(12):
+        w = single_party(d, d, kron(_pure_density(d, seed), np.eye(d)))
+        report = validate(w, 0.0)
+        assert d == 3 or report.distance == 0.0
+        oracles = [projection_oracle(w, 0.0).certified] if d == 3 else _certificates(w, 0.0)
+        assert oracles == [report.ok] * len(oracles)
+
+
+@pytest.mark.parametrize("k", [-1.1, -0.9, 0.5])
+def test_several_parties_psd_step_at_the_tolerance(k):
+    # a (2,3)(3,2) product W shifted so that lambda_min(W) = k tol: certified without
+    # the spectrum (min_eigenvalue NaN) for k >= -1, rejected with the exact value below
+    tol = DEFAULT_TOL
+    spec = PartySpec((DimensionPair(2, 3), DimensionPair(3, 2)))
+    m = kron_all([random_density(2, 0), np.eye(3), random_density(3, 1), np.eye(2)])
+    m += (k * tol - np.linalg.eigvalsh(m)[0]) * np.eye(36)
+    report = validate(ProcessMatrix(spec, m), tol)
+    rows = [row for row in report.violated_constraints if row[0] == "min_eigenvalue"]
+    if k < -1:
+        assert not report.psd_ok and report.min_eigenvalue == min_eigenvalue(m)
+        assert report.min_eigenvalue == pytest.approx(k * tol, abs=1e-14)
+        assert report.violated_constraints[0] == rows[0] == ("min_eigenvalue", min_eigenvalue(m))
+    else:
+        assert report.psd_ok and np.isnan(report.min_eigenvalue) and rows == []
+    skewed = m.copy()
+    skewed[0, 1] += 0.1
+    report = validate(ProcessMatrix(spec, skewed), tol)
+    assert not report.psd_ok and report.min_eigenvalue == -np.inf
+    assert report.violated_constraints[0][0] == "hermiticity"
+
+
+@PROPERTY
+@given(SMALL_PARTY_DIMS, SEEDS, st.floats(-3.0, 3.0), st.sampled_from([1e-9, 1e-6, 1e-3]))
+def test_psd_ok_is_the_spectrum_of_the_hermitian_part(dims, seed, scale, tol):
+    # H's lowest eigenvalue is put at scale * tol, and W has a skew part of norm tol / 2;
+    # psd_ok reads lambda_min(H) >= -tol wherever rounding cannot tip it
+    spec = PartySpec(tuple(DimensionPair(a, b) for a, b in dims))
+    h = random_hermitian(spec.total_dim, seed)
+    h += (scale * tol - np.linalg.eigvalsh(h)[0]) * np.eye(spec.total_dim)
+    skew = random_hermitian(spec.total_dim, seed + 1) * 1j
+    lowest, band = np.linalg.eigvalsh(h)[0], 1e-12 * np.linalg.norm(h)
+    assume(abs(lowest + tol) > band)
+    report = validate(ProcessMatrix(spec, h + tol / 2 * skew / np.linalg.norm(skew)), tol)
+    assert report.psd_ok == (lowest >= -tol)
+    assert report.psd_ok or report.min_eigenvalue == pytest.approx(lowest, abs=band)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_validate_and_reduction_oracles_report_one_hermiticity_gap(d):
-    # validate reads ||W - W^dagger||_F / 2 from hermiticity_check, the reduction
-    # certifier computes it itself; the agreement at tol = 0 rests on one float
+    # validate and the reduction certifier read ||W - W^dagger||_F / 2 from one
+    # helper, hermiticity_gap; the agreement at tol = 0 rests on one float
     rng = np.random.default_rng(d)
     for _ in range(5):
         m = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
@@ -485,12 +558,6 @@ def _araujo_projector(m, spec):
         v = v - out + _dephase(out, factors, k - 1)
         u = _dephase(_dephase(u, factors, k), factors, k - 1)
     return m - v + u
-
-
-SMALL_PARTY_DIMS = (
-    st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3)
-    .filter(lambda dims: np.prod([a * b for a, b in dims]) <= 64)
-)
 
 
 @PROPERTY

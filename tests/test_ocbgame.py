@@ -17,21 +17,18 @@ from pmtool.linalg import (
     projector,
     random_density,
     random_hermitian,
-    random_state,
 )
 from pmtool.ocbgame import (
     CausalStrategy,
     ETA_STATES,
     P_GAME_QUANTUM,
-    alice_cj,
-    bob_cj,
     build_w_ocb,
     causal_bound_details,
     evaluate_game,
     evaluate_strategy,
-    outcome_probability,
 )
 from pmtool.process import PartySpec, ProcessMatrix, validate
+from reference import alice_cj, bob_cj, outcome_probability, random_state
 
 KET0 = basis_state(0)
 

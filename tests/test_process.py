@@ -17,6 +17,7 @@ from pmtool.linalg import (
     DimensionPair,
     basis_state,
     kron,
+    min_eigenvalue,
     partial_trace,
     pauli_eigenvector,
     pauli_word,
@@ -59,7 +60,8 @@ def test_probability_maximally_mixed():
 
 
 def test_probability_two_party_direct_trace():
-    from pmtool.ocbgame import alice_cj, bob_cj, build_w_ocb
+    from pmtool.ocbgame import build_w_ocb
+    from reference import alice_cj, bob_cj
 
     w = build_w_ocb()
     a_cj = alice_cj(0, 0)
@@ -128,9 +130,12 @@ def test_validate_rho_tensor_identity():
 def test_validate_w_ocb():
     from pmtool.ocbgame import build_w_ocb
 
-    report = validate(build_w_ocb(), tol=1e-10)
-    assert report.ok
-    assert report.min_eigenvalue == pytest.approx(0.0, abs=1e-12)
+    w = build_w_ocb()
+    report = validate(w, tol=1e-10)
+    assert report.ok and report.psd_ok
+    # certified without the spectrum; W_OCB's lowest eigenvalue is 0, measured exactly
+    assert np.isnan(report.min_eigenvalue)
+    assert min_eigenvalue(w.matrix) == pytest.approx(0.0, abs=1e-12)
     assert report.trace_value == pytest.approx(4.0, abs=1e-12)
     assert report.worst_residual <= 1e-10
 

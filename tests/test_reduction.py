@@ -13,7 +13,6 @@ from pmtool.linalg import (
     pauli_word,
     random_density,
     random_hermitian,
-    random_state,
 )
 from pmtool.process import single_party
 from pmtool.reduction import (
@@ -25,6 +24,7 @@ from pmtool.reduction import (
     reduce_multiqubit,
     reduce_single_qubit,
 )
+from reference import random_state
 
 PAULI_NONID = "xyz"
 
