@@ -19,15 +19,17 @@ or drops each element by how every party splits into identity, input-only
 and output-touching parts. So one per-party walk of one coefficient tensor
 gives both W's Frobenius distance to the valid set (each party led by its
 identity element) and the constraint values (led by its reference CJ's row,
-in closed form), which only label a rejection. ``validate``'s rows are
-tested against the materialised ``normalization_constraints``.
+in closed form), which only label a rejection, so ``validate``'s report computes
+them when first read. ``validate``'s rows are tested against the materialised
+``normalization_constraints``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +38,7 @@ from .linalg import (
     DEFAULT_TOL,
     DimensionMismatchError,
     DimensionPair,
+    check_basis_dim,
     hermitian_basis,
     hermiticity_check,
     hermiticity_gap,
@@ -97,18 +100,56 @@ def single_party(d_in: int, d_out: int, matrix: np.ndarray) -> ProcessMatrix:
 
 @dataclass(frozen=True)
 class ValidityReport:
+    """``validate``'s verdict, computed in the call. ``worst_residual`` and
+    ``violated_constraints`` only explain it: they are built on first read, and cached,
+    off the report's own data (W's product-basis coefficients, or a copy of a single
+    party's W), so they describe the W that was validated."""
+
     psd_ok: bool
     min_eigenvalue: float
     normalization_ok: bool
     distance: float
-    worst_residual: float
     trace_ok: bool
     trace_value: float
-    violated_constraints: tuple = ()
+    _spec: PartySpec = field(repr=False, compare=False)
+    _tol: float = field(repr=False, compare=False)
+    # the verdict's own rows: hermiticity or min_eigenvalue, trace, distance
+    _verdict_rows: tuple = field(repr=False, compare=False)
+    _source: np.ndarray = field(repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
         return self.psd_ok and self.normalization_ok and self.trace_ok
+
+    @property
+    def worst_residual(self) -> float:
+        return self._constraint_rows[0]
+
+    @property
+    def violated_constraints(self) -> tuple:
+        return self._constraint_rows[1]
+
+    @cached_property
+    def _constraint_rows(self) -> tuple:
+        """(largest |Tr[W C] - expected|, the verdict's rows then each constraint whose
+        residual / ||C||_F exceeds tol: a quotient, so a tol whose bound tol ||C||_F
+        passes the largest float lists no row instead of overflowing)."""
+        spec, t = self._spec, self._source
+        if len(spec.parties) == 1:  # the verdict needed no transform
+            t = product_expectations(t, [hermitian_basis(d) for d in spec.factor_dims])
+        values = _party_rows(spec, t, _reference_row)
+        values[0] -= 1.0  # the reference constraint expects 1, every direction 0
+        residuals = np.abs(values)
+        # residual / ||C||_F: one axis per party, its reference slice over its reference CJ's
+        # exact norm, d for the SWAP and sqrt(d_in) for I (x) |0><0|
+        shape = [1 + p.d_in**2 * (p.d_out**2 - 1) for p in spec.parties]
+        per_probe = residuals.reshape(shape).copy()
+        for axis, dims in enumerate(spec.parties):
+            per_probe[(slice(None),) * axis + (0,)] /= (
+                dims.d_out if dims.d_in == dims.d_out else math.sqrt(dims.d_in))
+        over = np.flatnonzero(per_probe > self._tol)
+        rows = zip(_constraint_labels(spec, over), residuals[over].tolist())
+        return float(residuals.max()), self._verdict_rows + tuple(rows)
 
 
 def probability(w: ProcessMatrix, branch_cjs) -> float:
@@ -227,12 +268,13 @@ def validate(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityReport:
     W's lowest eigenvalue is computed only when that fails (``min_eigenvalue`` NaN).
 
     Rows label a rejection: hermiticity or the smallest eigenvalue, the trace,
-    the distance, then each constraint whose residual / ||C||_F exceeds tol (a
-    quotient, so a tol whose bound tol ||C||_F passes the largest float lists
-    no row instead of overflowing)."""
+    the distance, then the constraints, built on first read (``ValidityReport``).
+    One party's verdict needs no product-basis transform; its factor dimensions are
+    checked here, so reading a row never raises."""
     violated = []
     single = len(w.spec.parties) == 1
     if single:  # the reduction oracles' split, so their verdicts agree
+        check_basis_dim(max(w.spec.factor_dims))
         w1, off_valid = single_party_split(w)
     gap = hermiticity_gap(w.matrix)
     if not gap <= tol:  # NaN entries fail too
@@ -254,31 +296,21 @@ def validate(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityReport:
     if not trace_ok:
         violated.append(("trace", abs(trace_gap)))
 
-    t = product_expectations(w.matrix, [hermitian_basis(d) for d in w.spec.factor_dims])
-    if not single:
-        rows = _party_rows(w.spec, t, lambda dims, block: block[0, 0])
+    if single:
+        source = w.matrix.copy()  # transformed when a row is first read
+    else:
+        source = product_expectations(w.matrix,
+                                      [hermitian_basis(d) for d in w.spec.factor_dims])
+        rows = _party_rows(w.spec, source, lambda dims, block: block[0, 0])
         off_valid = float(np.linalg.norm(rows[1:]))
     distance = math.hypot(off_valid, trace_gap / math.sqrt(w.spec.total_dim))
     if distance > tol:
         violated.append(("distance", distance))
 
-    values = _party_rows(w.spec, t, _reference_row)
-    values[0] -= 1.0  # the reference constraint expects 1, every direction 0
-    residuals = np.abs(values)
-    # residual / ||C||_F: one axis per party, its reference slice over its reference CJ's
-    # exact norm, d for the SWAP and sqrt(d_in) for I (x) |0><0|
-    shape = [1 + p.d_in**2 * (p.d_out**2 - 1) for p in w.spec.parties]
-    per_probe = residuals.reshape(shape).copy()
-    for axis, dims in enumerate(w.spec.parties):
-        per_probe[(slice(None),) * axis + (0,)] /= (
-            dims.d_out if dims.d_in == dims.d_out else math.sqrt(dims.d_in))
-    over = np.flatnonzero(per_probe > tol)
-    violated += zip(_constraint_labels(w.spec, over), residuals[over].tolist())
-
     return ValidityReport(psd_ok=psd_ok, min_eigenvalue=mineig,
                           normalization_ok=distance <= tol, distance=distance,
-                          worst_residual=float(residuals.max()), trace_ok=trace_ok,
-                          trace_value=trace_value, violated_constraints=tuple(violated))
+                          trace_ok=trace_ok, trace_value=trace_value, _spec=w.spec,
+                          _tol=tol, _verdict_rows=tuple(violated), _source=source)
 
 
 def trace_dimension_identity(w: ProcessMatrix) -> float:

@@ -164,6 +164,15 @@ def test_validate_missing_file_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_validate_factor_above_the_basis_limit_is_usage_error(tmp_path, capsys):
+    path = str(tmp_path / "big.pm.json")
+    pmfile.save(path, single_party(65, 1, np.eye(65) / 65))
+    assert main(["validate", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "factor dimension 65 is above 64" in captured.err
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.pm.json"
     path.write_text("{broken")

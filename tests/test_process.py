@@ -179,6 +179,74 @@ def test_validate_maximally_entangled_fails():
     assert not report.normalization_ok
 
 
+def _verdict(report):
+    return report.ok, report.psd_ok, report.distance, report.trace_ok
+
+
+def _rows(report):
+    return report.worst_residual, report.violated_constraints
+
+
+def _ocb_plus(scale, word):
+    from pmtool.ocbgame import build_w_ocb
+
+    w = build_w_ocb()
+    return ProcessMatrix(w.spec, w.matrix + scale * pauli_word(word))
+
+
+@pytest.mark.parametrize("w, ok", [
+    (_ocb_plus(0.05, "111z"), False),
+    (single_party(2, 3, kron(random_density(2, 0), np.eye(3))), True),
+    (single_party(3, 2, kron(random_density(3, 1), np.eye(2)) + 0.05 * random_hermitian(6, 2)),
+     False),
+], ids=["two parties rejected", "single party valid", "single party rejected"])
+def test_validate_verdict_builds_no_rows(monkeypatch, w, ok):
+    # The verdict reads the trace, the distance and PSD; the rows that explain it are
+    # built on first read. For one party the product-basis transform waits too.
+    from pmtool import process
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the verdict built a constraint row")
+
+    for name in ("_constraint_labels", "_reference_row"):
+        monkeypatch.setattr(process, name, unused)
+    if len(w.spec.parties) == 1:
+        monkeypatch.setattr(process, "hermitian_basis", unused)
+        monkeypatch.setattr(process, "product_expectations", unused)
+    report = validate(w)
+    assert report.ok == ok
+    monkeypatch.undo()
+    reference = validate(w)
+    assert _verdict(report) == _verdict(reference)
+    assert _rows(report) == _rows(reference)
+    assert report.violated_constraints is report.violated_constraints
+    assert (report.violated_constraints == ()) == ok
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _ocb_plus(0.05, "111z"),
+    lambda: single_party(2, 2, kron(random_density(2, 3), np.eye(2)) + 0.05 * pauli_word("xy")),
+], ids=["two parties", "single party"])
+def test_validate_report_is_a_snapshot(make):
+    # rows read after the caller overwrites W describe the W that was validated
+    w = make()
+    reference = validate(ProcessMatrix(w.spec, w.matrix.copy()))
+    report = validate(w)
+    w.matrix[:] = np.eye(len(w.matrix))
+    w.matrix[0, 1] = 0.5
+    assert _rows(report) == _rows(reference)
+    assert _verdict(report) == _verdict(reference)
+    assert _rows(validate(w)) != _rows(reference)
+
+
+@pytest.mark.parametrize("dims", [((65, 1),), ((65, 1), (1, 1))], ids=["one party", "two"])
+def test_validate_rejects_a_factor_above_the_basis_limit(dims):
+    # raised by the call, not by a later read of the rows, for one party too
+    spec = PartySpec(tuple(DimensionPair(*p) for p in dims))
+    with pytest.raises(DimensionMismatchError, match="factor dimension 65 is above 64"):
+        validate(ProcessMatrix(spec, np.eye(65) / 65))
+
+
 def test_instrument_probabilities_normalize():
     w = rho_tensor_identity(random_density(2, 3))
     for seed in range(10):
