@@ -205,20 +205,15 @@ def min_eigenvalue(m: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     return lowest
 
 
-def check_basis_dim(d: int) -> None:
-    """Raise DimensionMismatchError if ``hermitian_basis(d)`` is above MAX_BASIS_DIM."""
-    if d > MAX_BASIS_DIM:
-        raise DimensionMismatchError(f"factor dimension {d} is above {MAX_BASIS_DIM}: its "
-                                     f"Hermitian basis would take {16 * d**4} bytes")
-
-
 @lru_cache(maxsize=None)
 def hermitian_basis(d: int) -> np.ndarray:
     """Orthonormal (Frobenius) Hermitian basis of d x d matrices: one read-only
     (d^2, d, d) stack per d, each element written in place. Generalized Gell-Mann
     order: the identity direction, the symmetric and antisymmetric element of each
     pair i < j, then the traceless diagonal ladder; d <= MAX_BASIS_DIM."""
-    check_basis_dim(d)
+    if d > MAX_BASIS_DIM:
+        raise DimensionMismatchError(f"factor dimension {d} is above {MAX_BASIS_DIM}: its "
+                                     f"Hermitian basis would take {16 * d**4} bytes")
     basis = np.zeros((d * d, d, d), dtype=complex)
     np.fill_diagonal(basis[0], 1 / np.sqrt(d))
     elements = iter(basis[1:])

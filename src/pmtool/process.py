@@ -29,7 +29,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from .linalg import (
     DEFAULT_TOL,
     DimensionMismatchError,
     DimensionPair,
-    check_basis_dim,
     hermitian_basis,
     hermiticity_check,
     hermiticity_gap,
@@ -98,12 +96,17 @@ def single_party(d_in: int, d_out: int, matrix: np.ndarray) -> ProcessMatrix:
     return ProcessMatrix(PartySpec((DimensionPair(d_in, d_out),)), matrix)
 
 
+_REPORT_FIELDS = ("psd_ok", "min_eigenvalue", "normalization_ok", "distance",
+                  "worst_residual", "trace_ok", "trace_value", "violated_constraints")
+
+
 @dataclass(frozen=True)
 class ValidityReport:
     """``validate``'s verdict, computed in the call. ``worst_residual`` and
-    ``violated_constraints`` only explain it: they are built on first read, and cached,
-    off the report's own data (W's product-basis coefficients, or a copy of a single
-    party's W), so they describe the W that was validated."""
+    ``violated_constraints`` only explain it: they are built on first read of either
+    off W's product-basis coefficients, which the report keeps until then (16 D^2 bytes
+    for a D x D W), so they describe the W that was validated. ``==`` and ``repr``
+    cover both, as fields."""
 
     psd_ok: bool
     min_eigenvalue: float
@@ -115,7 +118,8 @@ class ValidityReport:
     _tol: float = field(repr=False, compare=False)
     # the verdict's own rows: hermiticity or min_eigenvalue, trace, distance
     _verdict_rows: tuple = field(repr=False, compare=False)
-    _source: np.ndarray = field(repr=False, compare=False)
+    # one slot: the coefficient tensor until a row is first read, then the rows
+    _rows: list = field(repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -123,20 +127,31 @@ class ValidityReport:
 
     @property
     def worst_residual(self) -> float:
-        return self._constraint_rows[0]
+        return self._constraint_rows()[0]
 
     @property
     def violated_constraints(self) -> tuple:
-        return self._constraint_rows[1]
+        return self._constraint_rows()[1]
 
-    @cached_property
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return f"ValidityReport({', '.join(f'{k}={v!r}' for k, v in self._fields())})"
+
+    def _fields(self) -> tuple:
+        return tuple((name, getattr(self, name)) for name in _REPORT_FIELDS)
+
     def _constraint_rows(self) -> tuple:
         """(largest |Tr[W C] - expected|, the verdict's rows then each constraint whose
         residual / ||C||_F exceeds tol: a quotient, so a tol whose bound tol ||C||_F
-        passes the largest float lists no row instead of overflowing)."""
-        spec, t = self._spec, self._source
-        if len(spec.parties) == 1:  # the verdict needed no transform
-            t = product_expectations(t, [hermitian_basis(d) for d in spec.factor_dims])
+        passes the largest float lists no row instead of overflowing). Built once; the
+        slot then holds them in place of the coefficients."""
+        spec, t = self._spec, self._rows[0]
+        if isinstance(t, tuple):
+            return t
         values = _party_rows(spec, t, _reference_row)
         values[0] -= 1.0  # the reference constraint expects 1, every direction 0
         residuals = np.abs(values)
@@ -149,7 +164,8 @@ class ValidityReport:
                 dims.d_out if dims.d_in == dims.d_out else math.sqrt(dims.d_in))
         over = np.flatnonzero(per_probe > self._tol)
         rows = zip(_constraint_labels(spec, over), residuals[over].tolist())
-        return float(residuals.max()), self._verdict_rows + tuple(rows)
+        self._rows[0] = float(residuals.max()), self._verdict_rows + tuple(rows)
+        return self._rows[0]
 
 
 def probability(w: ProcessMatrix, branch_cjs) -> float:
@@ -268,13 +284,10 @@ def validate(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityReport:
     W's lowest eigenvalue is computed only when that fails (``min_eigenvalue`` NaN).
 
     Rows label a rejection: hermiticity or the smallest eigenvalue, the trace,
-    the distance, then the constraints, built on first read (``ValidityReport``).
-    One party's verdict needs no product-basis transform; its factor dimensions are
-    checked here, so reading a row never raises."""
+    the distance, then the constraints, built on first read (``ValidityReport``)."""
     violated = []
     single = len(w.spec.parties) == 1
     if single:  # the reduction oracles' split, so their verdicts agree
-        check_basis_dim(max(w.spec.factor_dims))
         w1, off_valid = single_party_split(w)
     gap = hermiticity_gap(w.matrix)
     if not gap <= tol:  # NaN entries fail too
@@ -296,12 +309,9 @@ def validate(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityReport:
     if not trace_ok:
         violated.append(("trace", abs(trace_gap)))
 
-    if single:
-        source = w.matrix.copy()  # transformed when a row is first read
-    else:
-        source = product_expectations(w.matrix,
-                                      [hermitian_basis(d) for d in w.spec.factor_dims])
-        rows = _party_rows(w.spec, source, lambda dims, block: block[0, 0])
+    t = product_expectations(w.matrix, [hermitian_basis(d) for d in w.spec.factor_dims])
+    if not single:
+        rows = _party_rows(w.spec, t, lambda dims, block: block[0, 0])
         off_valid = float(np.linalg.norm(rows[1:]))
     distance = math.hypot(off_valid, trace_gap / math.sqrt(w.spec.total_dim))
     if distance > tol:
@@ -310,7 +320,7 @@ def validate(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityReport:
     return ValidityReport(psd_ok=psd_ok, min_eigenvalue=mineig,
                           normalization_ok=distance <= tol, distance=distance,
                           trace_ok=trace_ok, trace_value=trace_value, _spec=w.spec,
-                          _tol=tol, _verdict_rows=tuple(violated), _source=source)
+                          _tol=tol, _verdict_rows=tuple(violated), _rows=[t])
 
 
 def trace_dimension_identity(w: ProcessMatrix) -> float:

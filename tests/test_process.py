@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 
@@ -202,7 +203,7 @@ def _ocb_plus(scale, word):
 ], ids=["two parties rejected", "single party valid", "single party rejected"])
 def test_validate_verdict_builds_no_rows(monkeypatch, w, ok):
     # The verdict reads the trace, the distance and PSD; the rows that explain it are
-    # built on first read. For one party the product-basis transform waits too.
+    # built on first read.
     from pmtool import process
 
     def unused(*args, **kwargs):
@@ -210,9 +211,6 @@ def test_validate_verdict_builds_no_rows(monkeypatch, w, ok):
 
     for name in ("_constraint_labels", "_reference_row"):
         monkeypatch.setattr(process, name, unused)
-    if len(w.spec.parties) == 1:
-        monkeypatch.setattr(process, "hermitian_basis", unused)
-        monkeypatch.setattr(process, "product_expectations", unused)
     report = validate(w)
     assert report.ok == ok
     monkeypatch.undo()
@@ -221,6 +219,20 @@ def test_validate_verdict_builds_no_rows(monkeypatch, w, ok):
     assert _rows(report) == _rows(reference)
     assert report.violated_constraints is report.violated_constraints
     assert (report.violated_constraints == ()) == ok
+    assert report == reference and repr(report) == repr(reference)
+
+
+def test_validate_report_equality_and_repr_cover_the_rows():
+    # one verdict with other rows is another report, as when the rows were fields
+    report = validate(_ocb_plus(0.25, "111z"))
+    twin = dataclasses.replace(report, _rows=validate(_ocb_plus(0.25, "1z11"))._rows)
+    assert hash(twin) == hash(report)
+    assert twin.violated_constraints[-1][0] == "P0:dir2|P1:ref"
+    assert twin != report
+    names = ("psd_ok", "min_eigenvalue", "normalization_ok", "distance", "worst_residual",
+             "trace_ok", "trace_value", "violated_constraints")
+    fields = ", ".join(f"{name}={getattr(report, name)!r}" for name in names)
+    assert repr(report) == f"ValidityReport({fields})"
 
 
 @pytest.mark.parametrize("make", [
@@ -235,6 +247,7 @@ def test_validate_report_is_a_snapshot(make):
     w.matrix[:] = np.eye(len(w.matrix))
     w.matrix[0, 1] = 0.5
     assert _rows(report) == _rows(reference)
+    assert report._rows == [_rows(reference)]  # the coefficients are released once read
     assert _verdict(report) == _verdict(reference)
     assert _rows(validate(w)) != _rows(reference)
 
