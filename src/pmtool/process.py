@@ -258,42 +258,41 @@ def _constraint_labels(spec: PartySpec, indices) -> list:
             for row in zip(*(f.tolist() for f in factors))]
 
 
-def single_party_split(w: ProcessMatrix) -> tuple:
-    """(W_1, ||W - W_1 (x) I||_F) for a single-party W, W_1 = Tr_out W / d_out, so that
-    W_1 (x) I = L_V W. W_1 is the a = b trace of blocks[i, a, j, b] = W[(i, a), (j, b)]
-    and W - W_1 (x) I the broadcast blocks - W_1[i, j] delta_ab; W_1 (x) I is never built."""
+def single_party_verdict(w: ProcessMatrix, tol: float) -> tuple:
+    """(W_1, Tr W, distance, hermiticity gap, lambda_min(W_1), whether Weyl's bound certifies
+    PSD): the one rule by which ``validate`` and the reduction oracles certify a single-party
+    W. W_1 = Tr_out W / d_out, the a = b trace of blocks[i, a, j, b] = W[(i, a), (j, b)], gives
+    L_V W = W_1 (x) I, never built: the distance is hypot(||blocks - W_1[i, j] delta_ab||_F,
+    (Tr W - d_out) / sqrt(D)). W's Hermitian part H is within ||W - W_1 (x) I||_F of W_1 (x) I,
+    whose spectrum is W_1's, so lambda_min(H) >= lambda_min(W_1) - ||W - W_1 (x) I||_F (Weyl)."""
     dims = w.spec.parties[0]
     blocks = w.matrix.reshape(dims.d_in, dims.d_out, dims.d_in, dims.d_out)
     w1 = np.trace(blocks, axis1=1, axis2=3) / dims.d_out
-    return w1, float(np.linalg.norm(blocks - w1[:, None, :, None] * np.eye(dims.d_out)[:, None]))
-
-
-def single_party_psd(w1: np.ndarray, off: float, tol: float) -> tuple:
-    """(lambda_min(W_1), whether that certifies W's Hermitian part H >= -tol) for a
-    single party's split (W_1, off). H is within off of W_1 (x) I, whose spectrum is
-    W_1's, so lambda_min(H) >= lambda_min(W_1) - off (Weyl): the PSD rule for one party."""
+    off = float(np.linalg.norm(blocks - w1[:, None, :, None] * np.eye(dims.d_out)[:, None]))
+    trace = float(np.trace(w.matrix).real)
     w1_lowest = hermiticity_check(w1, tol)[1]
-    return w1_lowest, w1_lowest - off >= -tol
+    return (w1, trace, math.hypot(off, (trace - dims.d_out) / math.sqrt(dims.total)),
+            hermiticity_gap(w.matrix), w1_lowest, w1_lowest - off >= -tol)
 
 
 def validate(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityReport:
     """Certify W iff it is Hermitian and PSD within tol and its distance to the
     valid set, sqrt(||W - L_V W||_F^2 + (Tr W - d_out)^2 / D), is at most tol.
 
-    PSD is decided by ``single_party_psd`` for one party, ``psd_lowest`` for several;
-    W's lowest eigenvalue is computed only when that fails (``min_eigenvalue`` NaN).
+    PSD is decided by ``single_party_verdict``'s Weyl bound for one party, ``psd_lowest`` for
+    several; W's lowest eigenvalue is computed only when that fails (``min_eigenvalue`` NaN).
 
     Rows label a rejection: hermiticity or the smallest eigenvalue, the trace,
     the distance, then the constraints, built on first read (``ValidityReport``)."""
     violated = []
     single = len(w.spec.parties) == 1
-    if single:  # the reduction oracles' split, so their verdicts agree
-        w1, off_valid = single_party_split(w)
-    gap = hermiticity_gap(w.matrix)
+    if single:  # the reduction oracles' rule, so their verdicts agree
+        _, trace_value, distance, gap, _, certified = single_party_verdict(w, tol)
+    else:
+        gap, trace_value = hermiticity_gap(w.matrix), float(np.trace(w.matrix).real)
     if not gap <= tol:  # NaN entries fail too
         mineig = -np.inf  # no spectrum: W is not Hermitian
     elif single:
-        certified = single_party_psd(w1, off_valid, tol)[1]
         mineig = np.nan if certified else hermiticity_check(w.matrix, tol)[1]
     else:
         mineig = psd_lowest(w.matrix, tol)
@@ -303,17 +302,17 @@ def validate(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityReport:
     elif mineig < -tol:
         violated.append(("min_eigenvalue", mineig))
 
-    trace_value = float(np.trace(w.matrix).real)
     trace_gap = trace_value - w.spec.d_out_product
     trace_ok = abs(trace_gap) <= tol * math.sqrt(w.spec.total_dim)
     if not trace_ok:
         violated.append(("trace", abs(trace_gap)))
 
+    # after the PSD step, so its copies of W and the coefficients are never held together
     t = product_expectations(w.matrix, [hermitian_basis(d) for d in w.spec.factor_dims])
     if not single:
         rows = _party_rows(w.spec, t, lambda dims, block: block[0, 0])
-        off_valid = float(np.linalg.norm(rows[1:]))
-    distance = math.hypot(off_valid, trace_gap / math.sqrt(w.spec.total_dim))
+        distance = math.hypot(float(np.linalg.norm(rows[1:])),
+                              trace_gap / math.sqrt(w.spec.total_dim))
     if distance > tol:
         violated.append(("distance", distance))
 

@@ -2,10 +2,10 @@
 
 For one laboratory the framework collapses to ordinary quantum theory:
 every valid W factors as W_1 (x) I with W_1 a density matrix. One certifier,
-``_finish_report``, decides this by ``process.validate``'s rule: for one
-party L_V W = W_1 (x) I with W_1 = Tr_out W / d_out, so the distance to the
-valid set is hypot(||W - W_1 (x) I||, (Tr W_1 - 1) sqrt(d_out / d_in)),
-with W_1 and ||W - W_1 (x) I|| from ``process.single_party_split``.
+``_finish_report``, decides this by ``process.validate``'s rule, from
+``process.single_party_verdict``: for one party L_V W = W_1 (x) I with
+W_1 = Tr_out W / d_out, so the distance to the valid set is
+hypot(||W - W_1 (x) I||, (Tr W_1 - 1) sqrt(d_out / d_in)).
 ``projection_oracle`` applies it to any single party. The constructive
 reductions add constraint sums, which only label a rejection: they force
 every coefficient with output-side Pauli content to zero (single-qubit case
@@ -38,12 +38,11 @@ from .linalg import (
     DimensionMismatchError,
     NonHermitianError,
     hermiticity_check,
-    hermiticity_gap,
     kron_all,  # not called here; perfbench/selftest.py checks that its tracer rebinds it
     pauli_word,
     product_expectations,
 )
-from .process import ProcessMatrix, probability, single_party_psd, single_party_split
+from .process import ProcessMatrix, probability, single_party_verdict
 
 MAX_QUBITS = 4
 SUM_PROBE_NORM = math.sqrt(2)  # ||(I + sigma) / 2^n||_F, every constraint sum's probe
@@ -205,15 +204,10 @@ def _finish_report(w: ProcessMatrix, violations, tol: float) -> ReductionReport:
     within tol and at most tol from the valid set. Appends trace, hermiticity and
     (for a W that close) eigenvalue rows to ``violations``; rows never decide."""
     dims = w.spec.parties[0]
-    w1, off = single_party_split(w)
-    trace = float(np.trace(w.matrix).real)
-    root_d = math.sqrt(dims.total)  # ||I||_F, the trace's probe norm
-    residual = math.hypot(off, (trace - dims.d_out) / root_d)
-    if abs(trace - dims.d_out) > tol * root_d:
+    w1, trace, residual, gap, w1_lowest, psd = single_party_verdict(w, tol)
+    if abs(trace - dims.d_out) > tol * math.sqrt(dims.total):  # ||I||_F, the trace's probe norm
         violations.append(ConstraintRecord(f"Tr(W) = {dims.d_out}", trace, float(dims.d_out),
                                            "trace", trace / dims.d_out - 1.0))
-    gap = hermiticity_gap(w.matrix)
-    w1_lowest, psd = single_party_psd(w1, off, tol)
     if gap > tol:
         violations.append(ConstraintRecord("W = W^dagger", gap, 0.0, "hermiticity", gap))
     elif residual <= tol and not psd:  # W's own spectrum only when the verdict rests on it

@@ -5,7 +5,7 @@ import shlex
 import numpy as np
 import pytest
 
-from pmtool import pmfile, reduction
+from pmtool import pmfile, process, reduction
 from pmtool.cli import build_parser, main
 from pmtool.linalg import DimensionPair, kron, pauli_word, random_density
 from pmtool.ocbgame import build_w_ocb
@@ -274,6 +274,32 @@ def test_reduce_certifies_once(tmp_path, monkeypatch, capsys, n):
             (v.description, v.lhs_value, v.coefficient_label, v.coefficient_value)
             for v in want.violations]
     assert report["results"]["constructive"]["violations"][-1]["coefficient"] == "hermiticity"
+
+
+def test_single_party_rule_is_called_not_copied(tmp_path, monkeypatch, capsys):
+    """``validate`` and every reduction oracle certify one party by one call of
+    ``process.single_party_verdict``; ``pmtool reduce`` makes one call for both
+    of its blocks, and several parties make none."""
+    calls = []
+    verdict = process.single_party_verdict
+
+    def counted(*args):
+        calls.append(args)
+        return verdict(*args)
+
+    monkeypatch.setattr(process, "single_party_verdict", counted)
+    monkeypatch.setattr(reduction, "single_party_verdict", counted)
+    w = single_party(4, 4, 1.5 * kron(random_density(4, 0), np.eye(4)))  # trace 6: rejected
+    path = str(tmp_path / "w.pm.json")
+    pmfile.save(path, w)
+    for call, arg, want in ((validate, w, 1), (reduction.projection_oracle, w, 1),
+                            (reduction.reduce_multiqubit, w, 1),
+                            (reduction.reduce_single_qubit, single_party(2, 2, np.eye(4) / 2), 1),
+                            (lambda path: run(capsys, "reduce", path), path, 1),
+                            (validate, build_w_ocb(), 0)):
+        calls.clear()
+        call(arg)
+        assert len(calls) == want, call
 
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"

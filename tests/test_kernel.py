@@ -39,8 +39,7 @@ from pmtool.process import (
     normalization_constraints,
     reference_cptp_cj,
     single_party,
-    single_party_psd,
-    single_party_split,
+    single_party_verdict,
     validate,
 )
 from pmtool.reduction import (
@@ -128,7 +127,8 @@ def test_single_party_certifier_matches_partial_trace_and_kron(d_in, d_out):
     ``kron_all``: Hermitian and complex non-Hermitian W of unit Frobenius norm,
     and a valid rho (x) I plus 1e-10 of Hermitian noise, whose residual a
     difference of squared norms would lose to cancellation; each passed
-    contiguous, transposed and in Fortran order."""
+    contiguous, transposed and in Fortran order. ``validate`` reports the same
+    distance and verdict, square party or not."""
     total = d_in * d_out
     rng = np.random.default_rng(total)
     general = rng.standard_normal((total, total)) + 1j * rng.standard_normal((total, total))
@@ -143,6 +143,8 @@ def test_single_party_certifier_matches_partial_trace_and_kron(d_in, d_out):
             trace_gap = (np.trace(matrix).real - d_out) / math.sqrt(total)
             assert np.max(np.abs(report.w1 - w1)) <= 1e-13
             assert abs(report.residual - math.hypot(off, trace_gap)) <= 1e-13
+            validity = validate(single_party(d_in, d_out, matrix))
+            assert validity.distance == report.residual and validity.ok == report.certified
 
 
 def _materialised_rows(w):
@@ -396,6 +398,21 @@ def test_trace_shift_is_rejected_by_every_oracle():
     assert not any(_certificates(w))
 
 
+def test_weyl_bound_certifies_within_tol():
+    # W1 = diag(1 + tol/2, -tol/2) + i tol/4 X is Hermitian and PSD within tol, and
+    # W = W1 (x) I is 0 from the valid set: Weyl's bound certifies PSD off W1's
+    # Hermitian part, so no oracle computes W's own spectrum
+    tol = DEFAULT_TOL
+    w1 = np.diag([1 + tol / 2, -tol / 2]) + 0.25j * tol * pauli_word("x")
+    w = single_party(2, 2, kron(w1, np.eye(2)))
+    assert single_party_verdict(w, tol)[5]
+    report = validate(w)
+    assert report.ok and math.isnan(report.min_eigenvalue)
+    for oracle in (projection_oracle, reduce_multiqubit, reduce_single_qubit):
+        reduced = oracle(w)
+        assert reduced.certified and reduced.w1_psd and not reduced.violations
+
+
 @pytest.mark.parametrize("block, lowest", [(0, -0.5), (1, -1.2)])
 def test_spectrum_of_w_decides_every_oracle(block, lowest):
     # W1 = diag(1 + tol/2, -tol/2) is PSD within tol and W is 0.99 tol from the
@@ -404,7 +421,7 @@ def test_spectrum_of_w_decides_every_oracle(block, lowest):
     tol = DEFAULT_TOL
     block_z = kron(np.diag(np.eye(2)[block]), pauli_word("z"))
     w = single_party(2, 2, kron(np.diag([1 + tol / 2, -tol / 2]), np.eye(2)) + 0.7 * tol * block_z)
-    assert not single_party_psd(*single_party_split(w), tol)[1]  # Weyl's bound leaves it open
+    assert not single_party_verdict(w, tol)[5]  # Weyl's bound leaves it open
     report = validate(w)
     assert report.normalization_ok and report.min_eigenvalue == pytest.approx(lowest * tol)
     projection = projection_oracle(w)
@@ -523,7 +540,7 @@ def test_psd_ok_is_the_spectrum_of_the_hermitian_part(dims, seed, scale, tol):
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_validate_and_reduction_oracles_report_one_hermiticity_gap(d):
     # validate and the reduction certifier read ||W - W^dagger||_F / 2 from one
-    # helper, hermiticity_gap; the agreement at tol = 0 rests on one float
+    # function, single_party_verdict; the agreement at tol = 0 rests on one float
     rng = np.random.default_rng(d)
     for _ in range(5):
         m = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
